@@ -120,16 +120,23 @@ class DiscreteDistribution:
         """Tail average  (1/(1-alpha)) * integral_alpha^1 VaR_s ds;  esssup at alpha=1.
 
         Computed exactly on the CDF breakpoint partition: the quantile function
-        is piecewise constant, so the integral is a finite weighted sum.
+        is piecewise constant, so the integral is a finite weighted sum. Only
+        the atoms whose cumulative mass exceeds alpha carry weight, so the cost
+        is one binary search plus the tail.
         """
         _check_closed_level(alpha)
         if alpha == 0.0:
             return self.mean
         if alpha == 1.0:
             return self.esssup
-        cum = np.concatenate(([0.0], self._cum))
-        lengths = np.clip(np.minimum(cum[1:], 1.0) - np.maximum(cum[:-1], alpha), 0.0, None)
-        return float((self.values * lengths).sum() / (1.0 - alpha))
+        first = min(int(np.searchsorted(self._cum, alpha, side="right")), self.support_size - 1)
+        ends = np.minimum(self._cum[first:], 1.0)
+        # the partial sums may stop short of 1 by rounding; the top atom holds
+        # the rest, as it does for quantile(), so a level above the last sum
+        # still averages esssup
+        ends[-1] = 1.0
+        lengths = np.diff(ends, prepend=alpha)
+        return float((self.values[first:] * lengths).sum() / (1.0 - alpha))
 
     def partial_moment(self, t: float, p: float) -> float:
         """Upper partial moment  E[(X - t)_+^p]  for finite t and order p >= 1."""
@@ -174,9 +181,10 @@ def make_distribution(
     """Build a distribution from atoms; uniform masses when probs is omitted.
 
     Duplicate values (exact float equality) are merged with their masses added,
-    and masses are renormalized by their sum.
+    and masses are renormalized by their sum. An ndarray is read in place and
+    never written; the build is one sort of the values.
     """
-    vals = np.asarray(list(values), dtype=float)
+    vals = _float_array(values)
     if vals.ndim != 1:
         raise PreconditionError("atom values must be a flat sequence of numbers")
     if vals.size == 0:
@@ -186,7 +194,7 @@ def make_distribution(
     if probs is None:
         pr = np.full(vals.size, 1.0 / vals.size)
     else:
-        pr = np.asarray(list(probs), dtype=float)
+        pr = _float_array(probs)
         if pr.shape != vals.shape:
             raise PreconditionError("values and probs must have equal length")
         if not np.all(np.isfinite(pr)) or np.any(pr <= 0.0):
@@ -194,10 +202,23 @@ def make_distribution(
     total = float(pr.sum())
     if not math.isfinite(total) or total <= 0.0:
         raise PreconditionError("atom probabilities must sum to a positive number")
-    pr = pr / total
-    uniq, inverse = np.unique(vals, return_inverse=True)
-    merged = np.bincount(inverse, weights=pr, minlength=uniq.size)
-    return DiscreteDistribution(uniq, merged)
+    order = np.argsort(vals)
+    vals = vals[order]
+    pr = pr[order]
+    pr /= total
+    starts = np.empty(vals.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(vals[1:], vals[:-1], out=starts[1:])
+    if not starts.all():
+        first = np.flatnonzero(starts)
+        vals, pr = vals[first], np.add.reduceat(pr, first)
+    return DiscreteDistribution(vals, pr)
+
+
+def _float_array(xs: Iterable[float]) -> np.ndarray:
+    # an ndarray is converted without a copy where its dtype allows; any other
+    # iterable (generators included) is materialized first
+    return np.asarray(xs if isinstance(xs, np.ndarray) else list(xs), dtype=float)
 
 
 def point_mass(value: float) -> DiscreteDistribution:
@@ -228,15 +249,40 @@ def wasserstein_distance(
 
     W_k(X, Y)^k = integral_0^1 |VaR_s(X) - VaR_s(Y)|^k ds; both quantile
     functions are piecewise constant on the union of CDF breakpoints.
+
+    The two runs of cumulative masses are merged in one linear pass (a stable
+    argsort of their concatenation, which timsort does as a single merge).
+    Each merged breakpoint ends a segment of [0, 1]. On it, each law's
+    quantile is its atom whose index counts that law's breakpoints merged
+    before this one, a running count of which run each breakpoint came from.
+    The stable merge puts d1's breakpoint first on a tie, so a count can
+    exceed the searchsorted index only where a segment has zero length and
+    adds nothing. The integrand is scaled by its maximum so that |x - y|^k
+    cannot overflow.
     """
     if not k >= 1.0:
         raise PreconditionError("Wasserstein order must be >= 1")
-    u = np.unique(np.concatenate(([0.0], d1._cum, d2._cum)))
-    ends = u[1:]
-    q1 = d1.values[np.minimum(np.searchsorted(d1._cum, ends, side="left"), d1.support_size - 1)]
-    q2 = d2.values[np.minimum(np.searchsorted(d2._cum, ends, side="left"), d2.support_size - 1)]
-    total = float(np.diff(u) @ np.abs(q1 - q2) ** k)
-    return total ** (1.0 / k)
+    cum = np.concatenate((d1._cum, d2._cum))
+    order = np.argsort(cum, kind="stable")
+    ends = cum[order]
+    lengths = cum  # the segment lengths overwrite the concatenation
+    lengths[0] = ends[0]
+    np.subtract(ends[1:], ends[:-1], out=lengths[1:])
+    from_d1 = order < d1.support_size
+    count = order  # d1's breakpoints strictly before each merged one
+    np.cumsum(from_d1, out=count)
+    count -= from_d1
+    gap = np.take(d1.values, count, mode="clip", out=ends)
+    np.subtract(np.arange(count.size), count, out=count)  # now d2's
+    gap -= np.take(d2.values, count, mode="clip")
+    np.abs(gap, out=gap)
+    top = float(gap.max())
+    if top == 0.0 or top == math.inf:
+        return top  # equal quantile functions, or a gap beyond the float range
+    gap /= top
+    np.power(gap, k, out=gap)
+    gap *= lengths
+    return top * float(gap.sum()) ** (1.0 / k)
 
 
 def icx_leq(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -274,7 +274,9 @@ class PiecewiseLinear:
         }
 
 
-LambdaFunction = Union[Constant, Step, PiecewiseLinear]
+# a types.UnionType: typing.Union would keep these classes in typing's
+# process-wide cache, so a re-imported package could never free the old ones
+LambdaFunction = Constant | Step | PiecewiseLinear
 
 
 def from_spec(spec: dict) -> LambdaFunction:

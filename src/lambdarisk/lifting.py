@@ -27,6 +27,7 @@ import numpy as np
 from .classical import (
     EvarSolution,
     _entropy_of_blocks,
+    _quantile_interval,
     _simplex_blocks,
     conjugate_order,
     evar,
@@ -97,11 +98,20 @@ class BaseMeasureFamily:
         return evar_value(self.dist, self.p, alpha)
 
     def level_solution(self, alpha: float) -> EvarSolution | None:
-        """Full inner solution where one exists (None for the quantile family)."""
+        """Full inner solution where one exists (None for the quantile family).
+
+        For es the value and the minimizer interval [VaR_alpha, VaR+_alpha]
+        come straight from the CDF, with no inner minimization.
+        """
         if self.kind == "var":
             return None
-        p = 1.0 if self.kind == "es" else self.p
-        return evar(self.dist, p, alpha)
+        if self.kind == "evar":
+            return evar(self.dist, self.p, alpha)
+        value = self.dist.expected_shortfall(alpha)  # validates alpha
+        if alpha == 1.0:
+            return EvarSolution(value, value, value, 0, 0.0)  # degenerate at esssup
+        t_lo, t_hi = _quantile_interval(self.dist, alpha)
+        return EvarSolution(value, t_lo, t_hi, 0, 0.0)
 
 
 def var_family(dist: DiscreteDistribution) -> BaseMeasureFamily:

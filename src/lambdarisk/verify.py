@@ -194,7 +194,9 @@ def _payload(dist=None, level_fn=None, **extra) -> dict:
 # --------------------------------------------------------------------------
 # property registry
 
-_Case = Callable[[random.Random, CampaignConfig, float], "tuple[bool, float, dict | None]"]
+# CampaignConfig is named by a string: typing's process-wide cache keeps the
+# arguments of a subscripted Callable, and with them this module's globals
+_Case = Callable[[random.Random, "CampaignConfig", float], "tuple[bool, float, dict | None]"]
 _PROPERTIES: list[tuple[str, float, _Case]] = []
 
 

@@ -40,6 +40,18 @@ def test_make_distribution_merges_and_normalizes():
     assert d.atoms() == [(1.0, 0.5), (2.0, 0.5)]
 
 
+def test_make_distribution_accepts_any_iterable_and_leaves_input_alone():
+    vals = np.array([3, 1, 2, 1])
+    probs = np.array([1.0, 1.0, 1.0, 1.0])
+    want = [(1.0, 0.5), (2.0, 0.25), (3.0, 0.25)]
+    for v in ([3, 1, 2, 1], (3.0, 1.0, 2.0, 1.0), (x for x in [3, 1, 2, 1]), vals):
+        d = make_distribution(v, probs)
+        assert d.atoms() == want
+        assert not d.values.flags.writeable and not d.probs.flags.writeable
+    assert make_distribution(vals.astype(float)).atoms() == want
+    assert vals.tolist() == [3, 1, 2, 1] and probs.tolist() == [1.0] * 4
+
+
 def test_make_distribution_equal_weights_default():
     assert U4.atoms() == [(1.0, 0.25), (2.0, 0.25), (3.0, 0.25), (4.0, 0.25)]
     assert U4.mean == 2.5
@@ -55,6 +67,8 @@ def test_make_distribution_equal_weights_default():
         ([1.0, 2.0], [1.0]),
         ([math.inf], None),
         ([float("nan"), 1.0], None),
+        (np.ones((2, 2)), None),
+        (np.array(1.0), None),
     ],
 )
 def test_make_distribution_rejects_bad_input(values, probs):
@@ -112,6 +126,64 @@ def test_wasserstein_hand_values():
     assert wasserstein_distance(point_mass(0.0), point_mass(3.0), 3.0) == pytest.approx(3.0)
     u2 = make_distribution([0.0, 1.0])
     assert wasserstein_distance(u2, point_mass(0.0), 1.0) == pytest.approx(0.5)
+
+
+def reference_wasserstein(d1, d2, k):
+    # one searchsorted per law over the deduplicated union of CDF breakpoints
+    u = np.unique(np.concatenate(([0.0], d1._cum, d2._cum)))
+    ends = u[1:]
+    q1 = d1.values[np.minimum(np.searchsorted(d1._cum, ends, side="left"), d1.support_size - 1)]
+    q2 = d2.values[np.minimum(np.searchsorted(d2._cum, ends, side="left"), d2.support_size - 1)]
+    return float(np.diff(u) @ np.abs(q1 - q2) ** k) ** (1.0 / k)
+
+
+def _random_law(rng, n, uniform=False):
+    return make_distribution(rng.normal(0.0, 3.0, n), None if uniform else rng.uniform(0.1, 1.0, n))
+
+
+@pytest.mark.parametrize("k", [1.0, 2.0, 3.5])
+def test_wasserstein_merge_matches_searchsorted_reference(k):
+    rng = np.random.default_rng(7)
+    cases = [(_random_law(rng, n), _random_law(rng, int(rng.integers(1, 31))))
+             for n in range(1, 31)]
+    # equal-size uniform laws: every breakpoint of one law ties with the other's
+    cases += [(_random_law(rng, n, True), _random_law(rng, n, True)) for n in (1, 2, 7, 30)]
+    cases.append((_random_law(rng, 100_000), _random_law(rng, 100_000)))
+    for a, b in cases:
+        want = reference_wasserstein(a, b, k)
+        assert wasserstein_distance(a, b, k) == pytest.approx(want, rel=1e-12)
+        assert wasserstein_distance(b, a, k) == pytest.approx(want, rel=1e-12)
+
+
+def test_wasserstein_does_not_overflow_near_the_float_limit():
+    a = make_distribution([0.0, 1e200])
+    b = make_distribution([1e200, 2e200])
+    assert wasserstein_distance(a, b, 2.0) == pytest.approx(1e200, rel=1e-15)
+    assert wasserstein_distance(a, a, 2.0) == 0.0
+    with np.errstate(over="ignore"):  # the distance itself exceeds the float range
+        assert wasserstein_distance(point_mass(-1e308), point_mass(1e308), 1.0) == math.inf
+
+
+def test_expected_shortfall_tail_sum_matches_full_partition():
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 5, 40, 1_000):
+        d = _random_law(rng, n)
+        cum = np.concatenate(([0.0], d._cum))
+        # levels strictly inside (0, 1), including knife edges on the cumulative masses
+        alphas = list(rng.uniform(0.0, 1.0, 5)) + [float(c) for c in d._cum[:-1][:: max(1, n // 5)]]
+        for alpha in alphas:
+            lengths = np.clip(np.minimum(cum[1:], 1.0) - np.maximum(cum[:-1], alpha), 0.0, None)
+            want = float((d.values * lengths).sum() / (1.0 - alpha))
+            scale = 1e-12 * float(np.abs(d.values).max())
+            assert d.expected_shortfall(alpha) == pytest.approx(want, rel=1e-12, abs=scale)
+
+
+def test_expected_shortfall_above_the_last_partial_sum_is_esssup():
+    d = make_distribution(np.arange(21.0))
+    alpha = float(np.nextafter(d._cum[-1], 2.0))
+    assert alpha < 1.0  # the partial sums stop short of 1 by rounding
+    assert d.quantile(alpha) == 20.0
+    assert d.expected_shortfall(alpha) == 20.0
 
 
 @given(dists(), dists(), st.sampled_from([1.0, 2.0, 3.0]))

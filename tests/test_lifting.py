@@ -16,6 +16,7 @@ from lambdarisk import (
     PreconditionError,
     Step,
     es_family,
+    evar,
     evar_family,
     evar_value,
     extended_ru,
@@ -23,6 +24,7 @@ from lambdarisk import (
     lambda_evar_dual_oracle,
     lambda_lift,
     lambda_lift_inf,
+    lifting,
     make_distribution,
     point_mass,
     sandwich_check,
@@ -74,6 +76,30 @@ def test_es_lift_jump_crossing():
     left = lambda_lift(U4, es_family(U4), Step([3.6], [0.75, 0.25], "left"))
     assert left.value == 3.6
     assert left.attained is True
+
+
+def test_es_lift_reads_its_interval_from_the_cdf(monkeypatch):
+    def no_solver(*args, **kwargs):
+        raise AssertionError("an es lift must not run the entropic solver")
+
+    rng = random.Random(11)
+    laws = [rand_dist(rng) for _ in range(20)]
+    cases = [
+        (d, alpha)
+        for d in laws
+        for alpha in (0.0, 1.0, float(d._cum[0]), rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0))
+    ]
+    # the reference interval comes from the general solver at order 1
+    want = [(evar(d, 1.0, alpha).t_lo, evar(d, 1.0, alpha).t_hi) for d, alpha in cases]
+    monkeypatch.setattr(lifting, "evar", no_solver)
+    for (d, alpha), interval in zip(cases, want):
+        sol = es_family(d).level_solution(alpha)
+        assert (sol.t_lo, sol.t_hi) == interval
+        assert sol.value == d.expected_shortfall(alpha)
+    assert lambda_lift(U4, es_family(U4), STEP36).value == 3.6
+    for L in (Constant(0.6), PiecewiseLinear([0.0, 5.0], [0.9, 0.1])):
+        res = lambda_lift(U4, es_family(U4), L)
+        assert res.t_lo <= res.t_hi
 
 
 def test_var_lift_fixture():

@@ -1,0 +1,28 @@
+"""Smoke test of the benchmark in perfbench/: tiny sizes, half a second per workload.
+
+Keeps the benchmark runnable against the current package, and every request
+it sends answered correctly; it measures nothing.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("workload", ["portfolio-large", "lift-entropic"])
+def test_benchmark_runs_and_every_request_checks_out(workload):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+         "--seed", "1", "--seconds", "0.5", "--trace", "0", "--tiny"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["attempted"] > 0
+    assert report["failed"] == 0, proc.stderr[-2000:]
+    assert report["correct"] is True

@@ -1,6 +1,11 @@
 """Seeded property campaign: registry, determinism, report schema."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -106,3 +111,29 @@ def test_report_is_plain_data(small_report):
     assert isinstance(d, dict)
     rebuilt = json.loads(json.dumps(d, sort_keys=True))
     assert rebuilt == json.loads(small_report.to_json())
+
+
+def test_reimport_frees_the_previous_package():
+    # typing caches subscripted generics process-wide; a package class in one
+    # of them would keep every re-imported generation of its module alive
+    script = textwrap.dedent("""
+        import gc, importlib, json, sys, weakref
+
+        def fresh():
+            for name in [m for m in sys.modules if m.split(".")[0] == "lambdarisk"]:
+                del sys.modules[name]
+            importlib.import_module("lambdarisk.cli")
+            return importlib.import_module("lambdarisk")
+
+        lr = fresh()
+        refs = [weakref.ref(x) for x in (lr.Step, lr.CampaignConfig, lr.levels, lr.verify)]
+        del lr
+        fresh()
+        gc.collect()
+        print(json.dumps([r() is None for r in refs]))
+    """)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert json.loads(out.stdout) == [True] * 4
