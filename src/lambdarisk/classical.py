@@ -16,6 +16,7 @@ because the feasibility test never relaxes the entropy budget.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -115,6 +116,7 @@ def evar_value(
     solvers, grid oracles); `evar` delegates here and then recovers t*.
     """
     _check_order(p)
+    _check_solver_inputs(rel_tol, max_iter)
     if not 0.0 <= alpha <= 1.0:
         raise PreconditionError(f"level {alpha!r} outside [0, 1]")
     value, _, _, _ = _evar_core(dist, p, alpha, rel_tol, max_iter)
@@ -141,6 +143,7 @@ def evar(
     the objective's analytic slope, exactly at p = 1 via CDF quantiles.
     """
     _check_order(p)
+    _check_solver_inputs(rel_tol, max_iter)
     if not 0.0 <= alpha <= 1.0:
         raise PreconditionError(f"level {alpha!r} outside [0, 1]")
     top = dist.esssup
@@ -463,3 +466,18 @@ def evar_dual_oracle(
 def _check_order(p: float) -> None:
     if not (isinstance(p, (int, float)) and math.isfinite(p) and p >= 1.0):
         raise PreconditionError(f"order p must be a finite number >= 1, got {p!r}")
+
+
+def _check_solver_inputs(rel_tol: float, max_iter: int) -> None:
+    """A relative tolerance must be finite and > 0, an iteration cap an integer >= 1."""
+    if not (
+        isinstance(rel_tol, numbers.Real)
+        and not isinstance(rel_tol, bool)
+        and math.isfinite(rel_tol)
+        and rel_tol > 0.0
+    ):
+        raise PreconditionError(f"rel_tol must be a finite number > 0, got {rel_tol!r}")
+    if not (
+        isinstance(max_iter, numbers.Integral) and not isinstance(max_iter, bool) and max_iter >= 1
+    ):
+        raise PreconditionError(f"max_iter must be an integer >= 1, got {max_iter!r}")

@@ -3,7 +3,8 @@
 Only three closed families are supported — constant, step (with an explicit
 continuity tag), and piecewise linear — so one-sided limits, tail limits and
 superlevel suprema are exactly computable. Arbitrary callables are deliberately
-not accepted: the lifting machinery needs exact jump locations to snap onto.
+not accepted: the lifting machinery searches the pieces between exact
+breakpoints (``pieces``), on which a level function is continuous.
 """
 
 from __future__ import annotations
@@ -75,6 +76,9 @@ class Constant:
 
     def tail_limits(self) -> tuple[float, float]:
         return (self.level, self.level)
+
+    def pieces(self) -> tuple[tuple[float, float, float, float], ...]:
+        return _pieces([], [self.level], [self.level])
 
     def superlevel_sup(self, c: float) -> float:
         """sup{x : level(x) >= c}  in the extended reals."""
@@ -162,6 +166,16 @@ class Step:
     def tail_limits(self) -> tuple[float, float]:
         return (float(self.levels[0]), float(self.levels[-1]))
 
+    def pieces(self) -> tuple[tuple[float, float, float, float], ...]:
+        """(start, end, level after start, level before end) per continuity piece.
+
+        The pieces are the intervals between consecutive breakpoints, the outer
+        two unbounded; the level function is continuous inside each, and the
+        two levels are its one-sided limits at the piece's ends.
+        """
+        levels = self.levels.tolist()
+        return _pieces(self.thresholds.tolist(), levels, levels)
+
     def superlevel_sup(self, c: float) -> float:
         _check_c(c)
         return float(self.superlevel_sup_many(np.array([c]))[0])
@@ -217,7 +231,7 @@ class PiecewiseLinear:
 
     @property
     def knots(self) -> tuple[float, ...]:
-        return ()  # continuous: nothing to snap onto
+        return ()  # continuous: no jumps
 
     @property
     def is_left_continuous(self) -> bool:
@@ -248,6 +262,11 @@ class PiecewiseLinear:
     def tail_limits(self) -> tuple[float, float]:
         return (float(self.ls[0]), float(self.ls[-1]))
 
+    def pieces(self) -> tuple[tuple[float, float, float, float], ...]:
+        """Continuity pieces as for ``Step.pieces``: the clamps and the segments."""
+        ls = self.ls.tolist()
+        return _pieces(self.xs.tolist(), [ls[0], *ls], [*ls, ls[-1]])
+
     def superlevel_sup(self, c: float) -> float:
         _check_c(c)
         return float(self.superlevel_sup_many(np.array([c]))[0])
@@ -272,6 +291,11 @@ class PiecewiseLinear:
             "type": "piecewise_linear",
             "points": [[float(x), float(l)] for x, l in zip(self.xs, self.ls)],
         }
+
+
+def _pieces(breaks: list[float], starts: list[float], ends: list[float]):
+    edges = [-_INF, *breaks, _INF]
+    return tuple(zip(edges[:-1], edges[1:], starts, ends))
 
 
 # a types.UnionType: typing.Union would keep these classes in typing's

@@ -6,14 +6,18 @@ L, the lifted value
     sup_x  min(rho_{L(x)}(X), x)
 
 equals the unique crossing of the decreasing curve x -> rho_{L(x)}(X) with the
-identity. The crossing is located by bisection; jump points of L that land in
-the final bracket are snapped exactly whenever the two-sided sandwich
+identity. One solver finds it: a binary search over the pieces between L's
+breakpoints, on which L is continuous. Where the curve is flat (a step
+plateau, a clamp) the crossing is the curve's value; where the search closes
+between two pieces it is the breakpoint, at which the two-sided sandwich
 
     rho_{L(x+)}(X) <= x <= rho_{L(x-)}(X)
 
-verifies there, so step-function lifts are exact, not approximate. The same
-solver drives the inf-of-max form, the joint (t, x) minimization for the
-entropic family, and the robust worst cases.
+holds by construction. Both are exact, so step-function lifts cost one level
+evaluation per halving of the pieces and carry no tolerance. Only a sloped
+piece of a piecewise-linear L needs an iterative solve (ITP). The same solver
+drives the inf-of-max form, the joint (t, x) minimization for the entropic
+family, and the robust worst cases.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import numpy as np
 
 from .classical import (
     EvarSolution,
+    _check_solver_inputs,
     _entropy_of_blocks,
     _quantile_interval,
     _simplex_blocks,
@@ -63,7 +68,9 @@ class LambdaRiskResult:
     value == x_star for every lift (the sup-of-min and the crossing agree);
     t_lo/t_hi are the inner entropic minimizers at level L(x_star), None for
     the quantile family; attained records whether the sup is a max, which is
-    exactly left-continuity of the level function.
+    exactly left-continuity of the level function. iterations counts the
+    crossing's piece probes plus its ITP steps (0 for a constant level);
+    achieved_tol is the width of its final bracket, 0 for an exact crossing.
     """
 
     value: float
@@ -143,70 +150,114 @@ def solve_level_crossing(
 ) -> _Crossing:
     """Crossing of the decreasing curve x -> phi(L(x)) with the identity.
 
-    phi maps a confidence level to the base measure value and is memoized per
-    level, so step-function curves cost a handful of evaluations regardless of
-    iteration count. The bracket [lo, hi] must satisfy curve(lo) >= lo and
-    curve(hi) <= hi; a short defensive expansion guards the callers' bounds.
-    Jump points inside the final bracket are returned exactly when the
-    two-sided crossing inequality verifies there; plateau crossings are
-    polished to the plateau value.
+    L's breakpoints cut the line into pieces on which L is continuous
+    (``level_fn.pieces()``), and a binary search over the pieces finds the
+    one that holds the crossing. A probe evaluates the curve at the piece's
+    ends through the one-sided limits of L there; phi is memoized per level,
+    so a piece where L is constant costs one evaluation and neighbours share
+    their end levels.
+
+    * Curve flat on the piece (a step plateau, a clamp, or phi equal at both
+      ends): the crossing is the curve's value if that lies in the piece.
+    * Search closed between two pieces: the curve jumps across the identity
+      at the breakpoint between them, and the crossing is that breakpoint.
+    * Sloped piece whose ends straddle the identity: ITP (interpolate,
+      truncate, project; Oliveira & Takahashi 2020) shrinks the bracket to
+      rel_tol * (hi - lo). ITP never needs more steps than bisection plus
+      one and converges superlinearly on smooth curves.
+
+    Only the width of [lo, hi] is used: it is the problem's scale. Exact
+    crossings report width 0; otherwise x is the midpoint of the final
+    bracket and width its width. iterations counts piece probes plus ITP
+    steps; max_iter caps the ITP steps.
     """
+    _check_solver_inputs(rel_tol, max_iter)
     cache: dict[float, float] = {}
 
-    def phi_cached(level: float) -> float:
+    def curve(level: float) -> float:
         v = cache.get(level)
         if v is None:
-            v = phi(level)
+            v = float(phi(level))
+            if not math.isfinite(v):
+                raise ArithmeticError(f"level curve is not finite at level {level!r}")
             cache[level] = v
         return v
 
-    def h(x: float) -> float:
-        return phi_cached(level_fn.eval(x)) - x
-
-    grow = max(hi - lo, 1.0)
-    for _ in range(8):
-        if h(lo) >= 0.0:
-            break
-        lo -= grow
-        grow *= 2.0
-    grow = max(hi - lo, 1.0)
-    for _ in range(8):
-        if h(hi) < 0.0:
-            break
-        hi += grow
-        grow *= 2.0
-    if h(lo) < 0.0 or h(hi) >= 0.0:
-        raise ArithmeticError("crossing bracket could not be established")
-
-    tol_w = rel_tol * (1.0 + (hi - lo))
-    iters = 0
-    while hi - lo > tol_w and iters < max_iter:
-        mid = 0.5 * (lo + hi)
-        if h(mid) >= 0.0:
-            lo = mid
+    pieces = level_fn.pieces()
+    first, last = 0, len(pieces) - 1
+    probes = 0
+    while first <= last:
+        mid = (first + last) // 2
+        a, b, level_a, level_b = pieces[mid]
+        va, vb = curve(level_a), curve(level_b)
+        probes += 1
+        if va < a:
+            last = mid - 1
+        elif vb > b:
+            first = mid + 1
+        elif va == vb:
+            return _Crossing(va, probes, 0.0)
+        elif va == a or vb == b:
+            return _Crossing(a if va == a else b, probes, 0.0)
         else:
-            hi = mid
-        iters += 1
-    width = hi - lo
-    x_mid = 0.5 * (lo + hi)
+            tol = rel_tol * abs(hi - lo) or math.ulp(max(abs(a), abs(b)))
+            x, steps, width = _itp(
+                lambda x: x - curve(level_fn.eval(x)), a, b, a - va, b - vb, tol, max_iter
+            )
+            return _Crossing(x, probes + steps, width)
+    # pieces[last] ends above the identity and pieces[first] starts below it
+    return _Crossing(pieces[first][0], probes, 0.0)
 
-    for k in level_fn.knots:
-        if lo - width <= k <= hi + width:
-            tol_k = 1e-9 * (1.0 + abs(k))
-            if (
-                phi_cached(level_fn.right_limit(k)) <= k + tol_k
-                and phi_cached(level_fn.left_limit(k)) >= k - tol_k
-            ):
-                return _Crossing(float(k), iters, width)
-    v = phi_cached(level_fn.eval(x_mid))
-    if abs(v - x_mid) <= 4.0 * width + 1e-15 * (1.0 + abs(x_mid)):
-        return _Crossing(v, iters, width)  # flat plateau: the curve value is exact
-    return _Crossing(x_mid, iters, width)
+
+def _itp(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    fa: float,
+    fb: float,
+    tol: float,
+    max_iter: int,
+) -> tuple[float, int, float]:
+    """Root of an increasing f on [a, b] with fa < 0 < fb, to bracket width tol.
+
+    ITP with kappa1 = 0.2 / (b - a), kappa2 = 2 and n0 = 1: at most
+    ceil(log2((b - a) / tol)) + 1 steps. Returns (x, steps, bracket width);
+    the width is 0 when f vanishes exactly at x.
+    """
+    eps = 0.5 * tol
+    width0 = b - a
+    n_max = max(0, math.ceil(math.log2(width0 / tol))) + 1
+    steps = 0
+    while b - a > tol and steps < max_iter:
+        half = 0.5 * (a + b)
+        if not a < half < b:  # no float left strictly inside
+            break
+        x_f = (fb * a - fa * b) / (fb - fa)
+        sigma = math.copysign(1.0, half - x_f)
+        delta = 0.2 * (b - a) * ((b - a) / width0)
+        x_t = x_f + sigma * delta if delta <= abs(half - x_f) else half
+        r = max(math.ldexp(eps, n_max - steps) - 0.5 * (b - a), 0.0)  # 0: plain bisection
+        x = x_t if abs(x_t - half) <= r else half - sigma * r
+        y = f(x)
+        steps += 1
+        if y > 0.0:
+            b, fb = x, y
+        elif y < 0.0:
+            a, fa = x, y
+        else:
+            return x, steps, 0.0
+    return 0.5 * (a + b), steps, b - a
 
 
 def _crossing_bracket(dist: DiscreteDistribution) -> tuple[float, float]:
-    # every base curve is bounded by [essinf, esssup], so the crossing is too
-    return dist.essinf - 1.0, dist.esssup + 1.0
+    # every base curve lies in [essinf, esssup], so the crossing does too; the
+    # padded width is the scale of the crossing's stopping width
+    spread = dist.esssup - dist.essinf
+    return dist.essinf - spread, dist.esssup + spread
+
+
+def _interval(sol: EvarSolution | None) -> tuple[float | None, float | None]:
+    return (None, None) if sol is None else (sol.t_lo, sol.t_hi)
 
 
 def lambda_lift(
@@ -218,20 +269,22 @@ def lambda_lift(
     max_iter: int = 200,
 ) -> LambdaRiskResult:
     """sup_x min(rho_{L(x)}(X), x) for an increasing family and decreasing L."""
-    attained = level_fn.is_left_continuous
+    _check_solver_inputs(rel_tol, max_iter)
     if isinstance(level_fn, Constant):
-        value = family.level_value(level_fn.level)
         sol = family.level_solution(level_fn.level)
-        t_lo, t_hi = (sol.t_lo, sol.t_hi) if sol is not None else (None, None)
-        return LambdaRiskResult(value, value, t_lo, t_hi, True, 0, 0.0)
-    lo, hi = _crossing_bracket(dist)
+        value = family.level_value(level_fn.level) if sol is None else sol.value
+        return LambdaRiskResult(value, value, *_interval(sol), True, 0, 0.0)
     cross = solve_level_crossing(
-        family.level_value, level_fn, lo, hi, rel_tol=rel_tol, max_iter=max_iter
+        family.level_value, level_fn, *_crossing_bracket(dist), rel_tol=rel_tol, max_iter=max_iter
     )
     sol = family.level_solution(level_fn.eval(cross.x))
-    t_lo, t_hi = (sol.t_lo, sol.t_hi) if sol is not None else (None, None)
     return LambdaRiskResult(
-        cross.x, cross.x, t_lo, t_hi, attained, cross.iterations, cross.width
+        cross.x,
+        cross.x,
+        *_interval(sol),
+        level_fn.is_left_continuous,
+        cross.iterations,
+        cross.width,
     )
 
 
@@ -243,17 +296,21 @@ def lambda_lift_inf(
     rel_tol: float = 1e-12,
     max_iter: int = 200,
 ) -> float:
-    """inf_x max(rho_{L(x)}(X), x); equals the sup form up to solver tolerance."""
+    """inf_x max(rho_{L(x)}(X), x); equals the sup form up to solver tolerance.
+
+    The objective is read at the crossing and at the ends of its final
+    bracket, approached from both sides through the one-sided limits of L.
+    """
+    _check_solver_inputs(rel_tol, max_iter)
     if isinstance(level_fn, Constant):
         return family.level_value(level_fn.level)
-    lo, hi = _crossing_bracket(dist)
     cross = solve_level_crossing(
-        family.level_value, level_fn, lo, hi, rel_tol=rel_tol, max_iter=max_iter
+        family.level_value, level_fn, *_crossing_bracket(dist), rel_tol=rel_tol, max_iter=max_iter
     )
-    w = max(cross.width, 1e-12 * (1.0 + abs(cross.x)))
     best = _INF
-    for x in (cross.x - w, cross.x, cross.x + w):
-        best = min(best, max(family.level_value(level_fn.eval(x)), x))
+    for x in {cross.x - cross.width, cross.x, cross.x + cross.width}:
+        for level in {level_fn.left_limit(x), level_fn.right_limit(x)}:
+            best = min(best, max(family.level_value(level), x))
     return best
 
 
@@ -287,6 +344,7 @@ def extended_ru(
     inner variable is the entropic minimizer interval at the crossing level.
     The optimality residual is verified before returning.
     """
+    _check_solver_inputs(rel_tol, max_iter)
     if not level_fn.is_right_continuous:
         raise PreconditionError("joint minimization needs a right-continuous level function")
     family = evar_family(dist, p)
@@ -295,9 +353,12 @@ def extended_ru(
         x_star = sol.value
         iters, width = sol.iterations, sol.achieved_tol
     else:
-        lo, hi = _crossing_bracket(dist)
         cross = solve_level_crossing(
-            family.level_value, level_fn, lo, hi, rel_tol=rel_tol, max_iter=max_iter
+            family.level_value,
+            level_fn,
+            *_crossing_bracket(dist),
+            rel_tol=rel_tol,
+            max_iter=max_iter,
         )
         x_star = cross.x
         sol = family.level_solution(level_fn.eval(x_star))
@@ -307,12 +368,12 @@ def extended_ru(
     t_ref = sol.t_hi if not math.isfinite(sol.t_lo) else 0.5 * (sol.t_lo + sol.t_hi)
     inner = dist.esssup if level == 1.0 else evar_objective(dist, p, level, t_ref)
     residual = abs(max(inner, x_star) - x_star)
-    # provable slack: curve variation across the final bracket plus its width
-    w = max(width, 1e-12 * (1.0 + abs(x_star)))
-    variation = family.level_value(level_fn.eval(x_star - w)) - family.level_value(
-        level_fn.eval(x_star + w)
+    # provable slack: curve variation across the final bracket, limits from
+    # outside included, plus its width
+    variation = family.level_value(level_fn.left_limit(x_star - width)) - family.level_value(
+        level_fn.right_limit(x_star + width)
     )
-    bound = max(1e-9 * (1.0 + abs(x_star)), max(variation, 0.0) + 10.0 * w)
+    bound = max(1e-9 * (1.0 + abs(x_star)), max(variation, 0.0) + 10.0 * width)
     if residual > bound:
         raise ArithmeticError(f"joint minimum failed verification (residual {residual:g})")
     return LambdaRiskResult(

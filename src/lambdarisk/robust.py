@@ -10,19 +10,23 @@ lifting module is reused verbatim with an inflated phi.
   envelope  m + v * sqrt(L(x) / (1 - L(x)))  — identical for the quantile,
   tail-average and order-2 entropic families.
 
+Each crossing bracket is padded by its own width, so the stopping width scales
+with the law (or the moments), not with a fixed unit.
+
 Both require the level function to stay strictly below 1.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-from .classical import evar_value
+from .classical import _check_solver_inputs, evar_value
 from .distributions import DiscreteDistribution, MomentSet
 from .errors import PreconditionError
 from .levels import Constant, LambdaFunction
-from .lifting import evar_family, lambda_lift, solve_level_crossing
+from .lifting import _crossing_bracket, solve_level_crossing
 
 __all__ = ["RobustResult", "worst_case_mean_variance", "worst_case_wasserstein"]
 
@@ -51,21 +55,29 @@ def worst_case_wasserstein(
         raise PreconditionError("order p must be a finite number >= 1")
     if not (math.isfinite(delta) and delta >= 0.0):
         raise PreconditionError("transport radius delta must be finite and >= 0")
+    _check_solver_inputs(rel_tol, max_iter)
     lmax = level_fn.max_level
     if lmax >= 1.0:
         raise PreconditionError("level function must stay strictly below 1")
 
-    def phi(alpha: float) -> float:
-        return evar_value(dist, p, alpha) + delta * (1.0 - alpha) ** (-1.0 / p)
+    @functools.cache
+    def base(alpha: float) -> float:  # shared by the nominal and the worst-case crossing
+        return evar_value(dist, p, alpha)
 
-    nominal = lambda_lift(dist, evar_family(dist, p), level_fn,
-                          rel_tol=rel_tol, max_iter=max_iter).value
+    def phi(alpha: float) -> float:
+        return base(alpha) + delta * (1.0 - alpha) ** (-1.0 / p)
+
     if isinstance(level_fn, Constant):
-        value = phi(level_fn.level)
+        nominal, value = base(level_fn.level), phi(level_fn.level)
         return RobustResult(value, value, nominal, value - nominal)
-    lo = dist.essinf - 1.0
-    hi = dist.esssup + delta * (1.0 - lmax) ** (-1.0 / p) + 1.0
-    cross = solve_level_crossing(phi, level_fn, lo, hi, rel_tol=rel_tol, max_iter=max_iter)
+    nominal = solve_level_crossing(
+        base, level_fn, *_crossing_bracket(dist), rel_tol=rel_tol, max_iter=max_iter
+    ).x
+    top = dist.esssup + delta * (1.0 - lmax) ** (-1.0 / p)
+    pad = top - dist.essinf
+    cross = solve_level_crossing(
+        phi, level_fn, dist.essinf - pad, top + pad, rel_tol=rel_tol, max_iter=max_iter
+    )
     return RobustResult(cross.x, cross.x, nominal, cross.x - nominal)
 
 
@@ -84,6 +96,7 @@ def worst_case_mean_variance(
     """
     if measure not in ("var", "es", "evar2"):
         raise PreconditionError(f"unknown measure tag {measure!r}")
+    _check_solver_inputs(rel_tol, max_iter)
     lmax = level_fn.max_level
     if lmax >= 1.0:
         raise PreconditionError("level function must stay strictly below 1")
@@ -95,7 +108,8 @@ def worst_case_mean_variance(
     if isinstance(level_fn, Constant):
         value = phi(level_fn.level)
         return RobustResult(value, value, m, value - m)
-    lo = m - 1.0
-    hi = m + v * math.sqrt(lmax / (1.0 - lmax)) + 1.0
-    cross = solve_level_crossing(phi, level_fn, lo, hi, rel_tol=rel_tol, max_iter=max_iter)
+    top = m + v * math.sqrt(lmax / (1.0 - lmax))
+    cross = solve_level_crossing(
+        phi, level_fn, 2.0 * m - top, 2.0 * top - m, rel_tol=rel_tol, max_iter=max_iter
+    )
     return RobustResult(cross.x, cross.x, m, cross.x - m)
