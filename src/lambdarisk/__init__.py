@@ -8,7 +8,6 @@ worst cases under Wasserstein and mean-variance ambiguity.
 """
 
 from .classical import (
-    EntropyBudget,
     EvarSolution,
     conjugate_order,
     evar,
@@ -55,7 +54,6 @@ __all__ = [
     "CampaignReport",
     "Constant",
     "DiscreteDistribution",
-    "EntropyBudget",
     "EvarSolution",
     "LambdaFunction",
     "LambdaRiskResult",

@@ -26,7 +26,6 @@ from .distributions import DiscreteDistribution
 from .errors import PreconditionError
 
 __all__ = [
-    "EntropyBudget",
     "EvarSolution",
     "conjugate_order",
     "evar",
@@ -42,23 +41,8 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 def conjugate_order(p: float) -> float:
     """Holder conjugate q with 1/p + 1/q = 1 (q = inf at p = 1)."""
-    _check_order(p)
+    p = _check_order(p)
     return _INF if p == 1.0 else p / (p - 1.0)
-
-
-@dataclass(frozen=True)
-class EntropyBudget:
-    """Dual feasible set: Renyi order q and radius log(1/(1-alpha))."""
-
-    q: float
-    bound: float
-
-    @classmethod
-    def from_order_level(cls, p: float, alpha: float) -> "EntropyBudget":
-        _check_order(p)
-        if not 0.0 <= alpha < 1.0:
-            raise PreconditionError(f"level {alpha!r} outside [0, 1)")
-        return cls(conjugate_order(p), -math.log1p(-alpha))
 
 
 @dataclass(frozen=True)
@@ -74,7 +58,7 @@ class EvarSolution:
 
 def evar_objective(dist: DiscreteDistribution, p: float, alpha: float, t: float) -> float:
     """t + (1/(1-alpha))^{1/p} * E[(X-t)_+^p]^{1/p}  for alpha in [0, 1)."""
-    _check_order(p)
+    p = _check_order(p)
     if not 0.0 <= alpha < 1.0:
         raise PreconditionError(f"level {alpha!r} outside [0, 1)")
     if not math.isfinite(t):
@@ -115,7 +99,7 @@ def evar_value(
     Cheap path for callers that evaluate the measure at many levels (curve
     solvers, grid oracles); `evar` delegates here and then recovers t*.
     """
-    _check_order(p)
+    p = _check_order(p)
     _check_solver_inputs(rel_tol, max_iter)
     if not 0.0 <= alpha <= 1.0:
         raise PreconditionError(f"level {alpha!r} outside [0, 1]")
@@ -136,14 +120,17 @@ def evar(
 
     alpha = 1 returns esssup (interval degenerate at esssup). alpha = 0 with
     p > 1 returns the mean; the infimum is approached only as t -> -inf, so
-    t_lo = -inf and t_hi is where the objective exceeds value + interval_tol.
-    Otherwise the objective is minimized by golden section over an adaptively
-    widened bracket, the value is polished by evaluating every atom (at p = 1
+    t_lo = -inf and t_hi is where the objective exceeds value + interval_tol
+    (finite and >= 0; None means 1e-9 * (1 + |value|)). Otherwise the
+    objective is minimized by golden section over an adaptively widened
+    bracket, the value is polished by evaluating every atom (at p = 1
     the exact minimizer is a quantile), and the flat bottom is recovered from
     the objective's analytic slope, exactly at p = 1 via CDF quantiles.
     """
-    _check_order(p)
+    p = _check_order(p)
     _check_solver_inputs(rel_tol, max_iter)
+    if not (interval_tol is None or (_finite_real(interval_tol) and interval_tol >= 0.0)):
+        raise PreconditionError(f"interval_tol must be finite and >= 0, got {interval_tol!r}")
     if not 0.0 <= alpha <= 1.0:
         raise PreconditionError(f"level {alpha!r} outside [0, 1]")
     top = dist.esssup
@@ -463,19 +450,21 @@ def evar_dual_oracle(
     return best
 
 
-def _check_order(p: float) -> None:
-    if not (isinstance(p, (int, float)) and math.isfinite(p) and p >= 1.0):
+def _finite_real(x) -> bool:
+    """A finite real number of any kind (numpy scalars included), never a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _check_order(p: float) -> float:
+    """The one order check: a finite real >= 1, returned as a Python float."""
+    if not (_finite_real(p) and p >= 1.0):
         raise PreconditionError(f"order p must be a finite number >= 1, got {p!r}")
+    return float(p)
 
 
 def _check_solver_inputs(rel_tol: float, max_iter: int) -> None:
     """A relative tolerance must be finite and > 0, an iteration cap an integer >= 1."""
-    if not (
-        isinstance(rel_tol, numbers.Real)
-        and not isinstance(rel_tol, bool)
-        and math.isfinite(rel_tol)
-        and rel_tol > 0.0
-    ):
+    if not (_finite_real(rel_tol) and rel_tol > 0.0):
         raise PreconditionError(f"rel_tol must be a finite number > 0, got {rel_tol!r}")
     if not (
         isinstance(max_iter, numbers.Integral) and not isinstance(max_iter, bool) and max_iter >= 1

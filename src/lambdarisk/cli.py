@@ -309,11 +309,7 @@ def _cmd_robust_wasserstein(args) -> int:
 def _cmd_robust_meanvar(args) -> int:
     level_fn = parse_lambda_spec(args.lambda_spec)
     res = worst_case_mean_variance(
-        MomentSet(args.mean, args.std),
-        level_fn,
-        args.measure,
-        rel_tol=args.rel_tol,
-        max_iter=args.max_iter,
+        MomentSet(args.mean, args.std), level_fn, rel_tol=args.rel_tol, max_iter=args.max_iter
     )
     p_out = {"var": None, "es": 1.0, "evar2": 2.0}[args.measure]
     inputs = {
@@ -432,7 +428,12 @@ def _build_parser() -> argparse.ArgumentParser:
     rm = rsub.add_parser("meanvar", help="all laws with given mean and std bound")
     rm.add_argument("--mean", type=float, required=True)
     rm.add_argument("--std", type=float, required=True)
-    rm.add_argument("--measure", choices=("var", "es", "evar2"), default="es")
+    rm.add_argument(
+        "--measure",
+        choices=("var", "es", "evar2"),
+        default="es",
+        help="report label only: the three families share one envelope",
+    )
     rm.add_argument("--lambda", dest="lambda_spec", required=True, metavar="SPEC")
     _add_solver_flags(rm, rel_tol=1e-12)
     rm.add_argument("--expect", metavar="REPORT", help="stored report whose value must reproduce")

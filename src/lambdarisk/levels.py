@@ -1,8 +1,8 @@
 """Decreasing level functions: loss-threshold-dependent confidence levels.
 
 Only three closed families are supported — constant, step (with an explicit
-continuity tag), and piecewise linear — so one-sided limits, tail limits and
-superlevel suprema are exactly computable. Arbitrary callables are deliberately
+continuity tag), and piecewise linear — so one-sided limits and superlevel
+suprema are exactly computable. Arbitrary callables are deliberately
 not accepted: the lifting machinery searches the pieces between exact
 breakpoints (``pieces``), on which a level function is continuous.
 """
@@ -58,10 +58,6 @@ class Constant:
     def max_level(self) -> float:
         return self.level
 
-    @property
-    def min_level(self) -> float:
-        return self.level
-
     def eval(self, x: float) -> float:
         _check_x(x)
         return self.level
@@ -73,9 +69,6 @@ class Constant:
     def right_limit(self, x: float) -> float:
         _check_x(x)
         return self.level
-
-    def tail_limits(self) -> tuple[float, float]:
-        return (self.level, self.level)
 
     def pieces(self) -> tuple[tuple[float, float, float, float], ...]:
         return _pieces([], [self.level], [self.level])
@@ -146,10 +139,6 @@ class Step:
     def max_level(self) -> float:
         return float(self.levels[0])
 
-    @property
-    def min_level(self) -> float:
-        return float(self.levels[-1])
-
     def eval(self, x: float) -> float:
         _check_x(x)
         side = "left" if self.continuity == "left" else "right"
@@ -162,9 +151,6 @@ class Step:
     def right_limit(self, x: float) -> float:
         _check_x(x)
         return float(self.levels[int(np.searchsorted(self.thresholds, x, side="right"))])
-
-    def tail_limits(self) -> tuple[float, float]:
-        return (float(self.levels[0]), float(self.levels[-1]))
 
     def pieces(self) -> tuple[tuple[float, float, float, float], ...]:
         """(start, end, level after start, level before end) per continuity piece.
@@ -245,10 +231,6 @@ class PiecewiseLinear:
     def max_level(self) -> float:
         return float(self.ls[0])
 
-    @property
-    def min_level(self) -> float:
-        return float(self.ls[-1])
-
     def eval(self, x: float) -> float:
         _check_x(x)
         return float(np.interp(x, self.xs, self.ls))
@@ -258,9 +240,6 @@ class PiecewiseLinear:
 
     def right_limit(self, x: float) -> float:
         return self.eval(x)
-
-    def tail_limits(self) -> tuple[float, float]:
-        return (float(self.ls[0]), float(self.ls[-1]))
 
     def pieces(self) -> tuple[tuple[float, float, float, float], ...]:
         """Continuity pieces as for ``Step.pieces``: the clamps and the segments."""

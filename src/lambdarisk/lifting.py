@@ -15,9 +15,10 @@ between two pieces it is the breakpoint, at which the two-sided sandwich
 
 holds by construction. Both are exact, so step-function lifts cost one level
 evaluation per halving of the pieces and carry no tolerance. Only a sloped
-piece of a piecewise-linear L needs an iterative solve (ITP). The same solver
-drives the inf-of-max form, the joint (t, x) minimization for the entropic
-family, and the robust worst cases.
+piece of a piecewise-linear L needs an iterative solve (ITP). The inf-of-max
+form, the joint (t, x) minimization for the entropic family and the robust
+worst cases all read this one crossing and the level curve it memoized, so no
+form solves the inner problem twice at a level the crossing visited.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import numpy as np
 
 from .classical import (
     EvarSolution,
+    _check_order,
     _check_solver_inputs,
     _entropy_of_blocks,
     _quantile_interval,
@@ -93,8 +95,7 @@ class BaseMeasureFamily:
     def __post_init__(self):
         if self.kind not in ("var", "es", "evar"):
             raise PreconditionError(f"unknown base measure family {self.kind!r}")
-        if not (isinstance(self.p, (int, float)) and math.isfinite(self.p) and self.p >= 1.0):
-            raise PreconditionError("family order p must be a finite number >= 1")
+        _check_order(self.p)
 
     def level_value(self, alpha: float) -> float:
         """rho_alpha(dist); exact for var/es, golden-section value for evar."""
@@ -137,6 +138,7 @@ class _Crossing(NamedTuple):
     x: float
     iterations: int
     width: float
+    curve: Callable[[float], float]  # memoized level -> phi(level) the search evaluated
 
 
 def solve_level_crossing(
@@ -169,7 +171,8 @@ def solve_level_crossing(
     Only the width of [lo, hi] is used: it is the problem's scale. Exact
     crossings report width 0; otherwise x is the midpoint of the final
     bracket and width its width. iterations counts piece probes plus ITP
-    steps; max_iter caps the ITP steps.
+    steps; max_iter caps the ITP steps. curve is the memoized phi: reading
+    it at a level the search visited costs nothing.
     """
     _check_solver_inputs(rel_tol, max_iter)
     cache: dict[float, float] = {}
@@ -196,17 +199,17 @@ def solve_level_crossing(
         elif vb > b:
             first = mid + 1
         elif va == vb:
-            return _Crossing(va, probes, 0.0)
+            return _Crossing(va, probes, 0.0, curve)
         elif va == a or vb == b:
-            return _Crossing(a if va == a else b, probes, 0.0)
+            return _Crossing(a if va == a else b, probes, 0.0, curve)
         else:
             tol = rel_tol * abs(hi - lo) or math.ulp(max(abs(a), abs(b)))
             x, steps, width = _itp(
                 lambda x: x - curve(level_fn.eval(x)), a, b, a - va, b - vb, tol, max_iter
             )
-            return _Crossing(x, probes + steps, width)
+            return _Crossing(x, probes + steps, width, curve)
     # pieces[last] ends above the identity and pieces[first] starts below it
-    return _Crossing(pieces[first][0], probes, 0.0)
+    return _Crossing(pieces[first][0], probes, 0.0, curve)
 
 
 def _itp(
@@ -260,6 +263,32 @@ def _interval(sol: EvarSolution | None) -> tuple[float | None, float | None]:
     return (None, None) if sol is None else (sol.t_lo, sol.t_hi)
 
 
+def _lift(
+    dist: DiscreteDistribution,
+    family: BaseMeasureFamily,
+    level_fn: LambdaFunction,
+    rel_tol: float,
+    max_iter: int,
+) -> tuple[LambdaRiskResult, EvarSolution | None, Callable[[float], float]]:
+    """The sup-of-min lift, the inner solution at its level, and the level curve."""
+    _check_solver_inputs(rel_tol, max_iter)
+    if isinstance(level_fn, Constant):
+        # one full inner solve; the curve of a constant level is its one value
+        sol = family.level_solution(level_fn.level)
+        value = family.level_value(level_fn.level) if sol is None else sol.value
+        result = LambdaRiskResult(value, value, *_interval(sol), True, 0, 0.0)
+        return result, sol, lambda level: value
+    cross = solve_level_crossing(
+        family.level_value, level_fn, *_crossing_bracket(dist), rel_tol=rel_tol, max_iter=max_iter
+    )
+    sol = family.level_solution(level_fn.eval(cross.x))
+    attained = level_fn.is_left_continuous
+    result = LambdaRiskResult(
+        cross.x, cross.x, *_interval(sol), attained, cross.iterations, cross.width
+    )
+    return result, sol, cross.curve
+
+
 def lambda_lift(
     dist: DiscreteDistribution,
     family: BaseMeasureFamily,
@@ -269,23 +298,7 @@ def lambda_lift(
     max_iter: int = 200,
 ) -> LambdaRiskResult:
     """sup_x min(rho_{L(x)}(X), x) for an increasing family and decreasing L."""
-    _check_solver_inputs(rel_tol, max_iter)
-    if isinstance(level_fn, Constant):
-        sol = family.level_solution(level_fn.level)
-        value = family.level_value(level_fn.level) if sol is None else sol.value
-        return LambdaRiskResult(value, value, *_interval(sol), True, 0, 0.0)
-    cross = solve_level_crossing(
-        family.level_value, level_fn, *_crossing_bracket(dist), rel_tol=rel_tol, max_iter=max_iter
-    )
-    sol = family.level_solution(level_fn.eval(cross.x))
-    return LambdaRiskResult(
-        cross.x,
-        cross.x,
-        *_interval(sol),
-        level_fn.is_left_continuous,
-        cross.iterations,
-        cross.width,
-    )
+    return _lift(dist, family, level_fn, rel_tol, max_iter)[0]
 
 
 def lambda_lift_inf(
@@ -298,19 +311,19 @@ def lambda_lift_inf(
 ) -> float:
     """inf_x max(rho_{L(x)}(X), x); equals the sup form up to solver tolerance.
 
-    The objective is read at the crossing and at the ends of its final
-    bracket, approached from both sides through the one-sided limits of L.
+    The objective is read off the crossing's curve at the crossing and at the
+    ends of its final bracket, through the one-sided limits of L. The cost is
+    the crossing's evaluations plus any of these levels it did not visit:
+    none when it closed at a breakpoint or inside a step plateau, at most
+    three after an ITP solve.
     """
-    _check_solver_inputs(rel_tol, max_iter)
-    if isinstance(level_fn, Constant):
-        return family.level_value(level_fn.level)
     cross = solve_level_crossing(
         family.level_value, level_fn, *_crossing_bracket(dist), rel_tol=rel_tol, max_iter=max_iter
     )
     best = _INF
     for x in {cross.x - cross.width, cross.x, cross.x + cross.width}:
         for level in {level_fn.left_limit(x), level_fn.right_limit(x)}:
-            best = min(best, max(family.level_value(level), x))
+            best = min(best, max(cross.curve(level), x))
     return best
 
 
@@ -340,45 +353,29 @@ def extended_ru(
     """Joint minimization  min_{t,x} max(t + (1-L(x))^{-1/p} ||(X-t)_+||_p, x).
 
     Needs a right-continuous level function (otherwise the joint min may not be
-    attained); the outer variable solves the same crossing as lambda_lift, the
-    inner variable is the entropic minimizer interval at the crossing level.
-    The optimality residual is verified before returning.
+    attained). It is lambda_lift's evar lift: the outer variable is the
+    crossing, the inner one the entropic minimizer interval at its level, and
+    the cost is the crossing's evaluations plus one full inner solve. The
+    optimality residual is verified against the crossing's curve before
+    returning: free when the crossing closed at a breakpoint or inside a step
+    plateau, two levels just outside the final bracket after an ITP solve.
     """
-    _check_solver_inputs(rel_tol, max_iter)
     if not level_fn.is_right_continuous:
         raise PreconditionError("joint minimization needs a right-continuous level function")
-    family = evar_family(dist, p)
-    if isinstance(level_fn, Constant):
-        sol = family.level_solution(level_fn.level)
-        x_star = sol.value
-        iters, width = sol.iterations, sol.achieved_tol
-    else:
-        cross = solve_level_crossing(
-            family.level_value,
-            level_fn,
-            *_crossing_bracket(dist),
-            rel_tol=rel_tol,
-            max_iter=max_iter,
-        )
-        x_star = cross.x
-        sol = family.level_solution(level_fn.eval(x_star))
-        iters, width = cross.iterations, cross.width
-
+    result, sol, curve = _lift(dist, evar_family(dist, p), level_fn, rel_tol, max_iter)
+    x_star, width = result.x_star, result.achieved_tol
     level = level_fn.eval(x_star)
     t_ref = sol.t_hi if not math.isfinite(sol.t_lo) else 0.5 * (sol.t_lo + sol.t_hi)
     inner = dist.esssup if level == 1.0 else evar_objective(dist, p, level, t_ref)
     residual = abs(max(inner, x_star) - x_star)
     # provable slack: curve variation across the final bracket, limits from
     # outside included, plus its width
-    variation = family.level_value(level_fn.left_limit(x_star - width)) - family.level_value(
-        level_fn.right_limit(x_star + width)
-    )
+    above, below = level_fn.left_limit(x_star - width), level_fn.right_limit(x_star + width)
+    variation = curve(above) - curve(below)
     bound = max(1e-9 * (1.0 + abs(x_star)), max(variation, 0.0) + 10.0 * width)
     if residual > bound:
         raise ArithmeticError(f"joint minimum failed verification (residual {residual:g})")
-    return LambdaRiskResult(
-        x_star, x_star, sol.t_lo, sol.t_hi, level_fn.is_left_continuous, iters, width
-    )
+    return result
 
 
 def lambda_evar_dual_oracle(

@@ -5,10 +5,11 @@ lift of a pointwise-inflated level curve, so the crossing solver from the
 lifting module is reused verbatim with an inflated phi.
 
 * Transport ball of radius delta in the order-p Wasserstein distance:
-  the curve inflates by  delta * (1 - L(x))^{-1/p}.
+  the curve inflates by  delta * (1 - L(x))^{-1/p}, read off the nominal
+  crossing's curve, so a level both crossings visit is solved once.
 * Mean/standard-deviation ball (m, v): the one-sided Chebyshev (Cantelli)
   envelope  m + v * sqrt(L(x) / (1 - L(x)))  — identical for the quantile,
-  tail-average and order-2 entropic families.
+  tail-average and order-2 entropic families, so it takes no measure tag.
 
 Each crossing bracket is padded by its own width, so the stopping width scales
 with the law (or the moments), not with a fixed unit.
@@ -18,15 +19,14 @@ Both require the level function to stay strictly below 1.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
-from .classical import _check_solver_inputs, evar_value
+from .classical import _check_order
 from .distributions import DiscreteDistribution, MomentSet
 from .errors import PreconditionError
-from .levels import Constant, LambdaFunction
-from .lifting import _crossing_bracket, solve_level_crossing
+from .levels import LambdaFunction
+from .lifting import _crossing_bracket, evar_family, solve_level_crossing
 
 __all__ = ["RobustResult", "worst_case_mean_variance", "worst_case_wasserstein"]
 
@@ -51,52 +51,40 @@ def worst_case_wasserstein(
     max_iter: int = 200,
 ) -> RobustResult:
     """sup over laws within Wasserstein-p distance delta of the lifted EVaR^p."""
-    if not (isinstance(p, (int, float)) and math.isfinite(p) and p >= 1.0):
-        raise PreconditionError("order p must be a finite number >= 1")
+    p = _check_order(p)
     if not (math.isfinite(delta) and delta >= 0.0):
         raise PreconditionError("transport radius delta must be finite and >= 0")
-    _check_solver_inputs(rel_tol, max_iter)
     lmax = level_fn.max_level
     if lmax >= 1.0:
         raise PreconditionError("level function must stay strictly below 1")
-
-    @functools.cache
-    def base(alpha: float) -> float:  # shared by the nominal and the worst-case crossing
-        return evar_value(dist, p, alpha)
+    family = evar_family(dist, p)
+    nominal = solve_level_crossing(
+        family.level_value, level_fn, *_crossing_bracket(dist), rel_tol=rel_tol, max_iter=max_iter
+    )
 
     def phi(alpha: float) -> float:
-        return base(alpha) + delta * (1.0 - alpha) ** (-1.0 / p)
+        return nominal.curve(alpha) + delta * (1.0 - alpha) ** (-1.0 / p)
 
-    if isinstance(level_fn, Constant):
-        nominal, value = base(level_fn.level), phi(level_fn.level)
-        return RobustResult(value, value, nominal, value - nominal)
-    nominal = solve_level_crossing(
-        base, level_fn, *_crossing_bracket(dist), rel_tol=rel_tol, max_iter=max_iter
-    ).x
     top = dist.esssup + delta * (1.0 - lmax) ** (-1.0 / p)
     pad = top - dist.essinf
     cross = solve_level_crossing(
         phi, level_fn, dist.essinf - pad, top + pad, rel_tol=rel_tol, max_iter=max_iter
     )
-    return RobustResult(cross.x, cross.x, nominal, cross.x - nominal)
+    return RobustResult(cross.x, cross.x, nominal.x, cross.x - nominal.x)
 
 
 def worst_case_mean_variance(
     moments: MomentSet,
     level_fn: LambdaFunction,
-    measure: str = "es",
     *,
     rel_tol: float = 1e-12,
     max_iter: int = 200,
 ) -> RobustResult:
     """Worst case over all laws with mean m and standard deviation <= v.
 
-    The measure tag ("var" | "es" | "evar2") is accepted for interface symmetry;
-    all three share the Cantelli envelope, so the value does not depend on it.
+    The quantile, tail-average and order-2 entropic families share the
+    Cantelli envelope, so one value serves all three.
     """
-    if measure not in ("var", "es", "evar2"):
-        raise PreconditionError(f"unknown measure tag {measure!r}")
-    _check_solver_inputs(rel_tol, max_iter)
     lmax = level_fn.max_level
     if lmax >= 1.0:
         raise PreconditionError("level function must stay strictly below 1")
@@ -105,9 +93,6 @@ def worst_case_mean_variance(
     def phi(alpha: float) -> float:
         return m + v * math.sqrt(alpha / (1.0 - alpha))
 
-    if isinstance(level_fn, Constant):
-        value = phi(level_fn.level)
-        return RobustResult(value, value, m, value - m)
     top = m + v * math.sqrt(lmax / (1.0 - lmax))
     cross = solve_level_crossing(
         phi, level_fn, 2.0 * m - top, 2.0 * top - m, rel_tol=rel_tol, max_iter=max_iter

@@ -686,7 +686,7 @@ def _case_robust_constant(rng, cfg, tol):
     wc = worst_case_wasserstein(d, p, Constant(alpha), delta)
     expect = evar_value(d, p, alpha) + delta * (1.0 - alpha) ** (-1.0 / p)
     m, v = rng.uniform(-3.0, 3.0), rng.uniform(0.0, 2.0)
-    cant = worst_case_mean_variance(MomentSet(m, v), Constant(alpha), "es")
+    cant = worst_case_mean_variance(MomentSet(m, v), Constant(alpha))
     cant_expect = m + v * math.sqrt(alpha / (1.0 - alpha))
     worst = max(abs(wc.value - expect), abs(cant.value - cant_expect))
     return worst <= tol, max(0.0, worst - tol), _payload(d, p=p, alpha=alpha, delta=delta)
@@ -698,9 +698,9 @@ def _case_robust_meanvar(rng, cfg, tol):
     m = rng.uniform(-3.0, 3.0)
     v1, v2 = sorted((rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0)))
     c = rng.uniform(0.0, 2.0)
-    base = worst_case_mean_variance(MomentSet(m, v1), L, "es").value
-    wider = worst_case_mean_variance(MomentSet(m, v2), L, "es").value
-    shifted = worst_case_mean_variance(MomentSet(m + c, v1), L, "es").value
+    base = worst_case_mean_variance(MomentSet(m, v1), L).value
+    wider = worst_case_mean_variance(MomentSet(m, v2), L).value
+    shifted = worst_case_mean_variance(MomentSet(m + c, v1), L).value
     worst = max(base - wider, shifted - (base + c), base - shifted)
     return worst <= tol, max(0.0, worst - tol), _payload(level_fn=L, m=m, v1=v1, v2=v2, c=c)
 
@@ -718,7 +718,7 @@ def _case_robust_members(rng, cfg, tol):
     measure = rng.choice(["var", "es", "evar2"])
     fam = {"var": var_family(member), "es": es_family(member), "evar2": evar_family(member, 2.0)}[measure]
     lift = lambda_lift(member, fam, L).value
-    worst = worst_case_mean_variance(MomentSet(m, v), L, measure).value
+    worst = worst_case_mean_variance(MomentSet(m, v), L).value
     ok, excess = _excess(max(0.0, lift - worst), tol)
     return ok, excess, _payload(member, L, m=m, v=v, measure=measure)
 

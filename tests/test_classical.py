@@ -1,4 +1,4 @@
-"""Entropic value-at-risk of order p: solver, dual budget, entropy helpers.
+"""Entropic value-at-risk of order p: solver, order checks, dual oracle, entropy helpers.
 
 The oracles here are deliberately independent of the solver: expected
 shortfall by direct sorting, the two-point closed form, and a brute grid
@@ -12,18 +12,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lambdarisk import (
-    EntropyBudget,
     PreconditionError,
     ScenarioTable,
+    Step,
     combine,
     conjugate_order,
     evar,
     evar_dual_oracle,
+    evar_family,
     evar_objective,
     evar_value,
+    lambda_lift,
     make_distribution,
     point_mass,
     renyi_entropy,
+    worst_case_wasserstein,
 )
 
 U4 = make_distribution([1.0, 2.0, 3.0, 4.0])
@@ -185,6 +188,51 @@ def test_domain_checks(p, alpha):
         evar(U4, p, alpha)
 
 
+# every real scalar kind is an order; the value is the float order's, bit for bit
+@pytest.mark.parametrize("p", [np.float32(2.0), np.int64(2), 2])
+def test_real_scalar_orders_are_accepted(p):
+    L = Step([2.5], [0.8, 0.3], "right")
+    assert evar_value(U4, p, 0.5) == evar_value(U4, 2.0, 0.5)
+    assert evar(U4, p, 0.5) == evar(U4, 2.0, 0.5)
+    assert conjugate_order(p) == 2.0
+    fam = evar_family(U4, p)
+    assert lambda_lift(U4, fam, L) == lambda_lift(U4, evar_family(U4, 2.0), L)
+    assert worst_case_wasserstein(U4, p, L, 0.2) == worst_case_wasserstein(U4, 2.0, L, 0.2)
+
+
+@pytest.mark.parametrize("p", [True, math.nan, 0.5, math.inf, "2"])
+def test_bad_orders_are_rejected(p):
+    L = Step([2.5], [0.8, 0.3], "right")
+    calls = [
+        lambda: evar_value(U4, p, 0.5),
+        lambda: evar(U4, p, 0.5),
+        lambda: conjugate_order(p),
+        lambda: evar_family(U4, p),
+        lambda: worst_case_wasserstein(U4, p, L, 0.2),
+    ]
+    for call in calls:
+        with pytest.raises(PreconditionError):
+            call()
+
+
+@pytest.mark.parametrize("itol", [math.nan, -1.0, math.inf, True])
+def test_interval_tol_is_checked(itol):
+    # at alpha = 0 a nan slack put t_hi at 3.4e-13 (objective 1.378, value 1.1)
+    # and a negative one at -1.35e16 once the doubling loop gave up
+    d = make_distribution([0.0, 1.0, 2.0], [0.3, 0.3, 0.4])
+    with pytest.raises(PreconditionError):
+        evar(d, 2.0, 0.0, interval_tol=itol)
+    with pytest.raises(PreconditionError):
+        evar(d, 2.0, 0.5, interval_tol=itol)
+
+
+def test_interval_tol_keeps_its_meaning_at_level_zero():
+    d = make_distribution([0.0, 1.0, 2.0], [0.3, 0.3, 0.4])
+    sol = evar(d, 2.0, 0.0, interval_tol=1e-3)
+    assert sol.value == pytest.approx(1.1, abs=1e-15) and sol.t_lo == -math.inf
+    assert evar_objective(d, 2.0, 0.0, sol.t_hi) == pytest.approx(1.1 + 1e-3, abs=1e-9)
+
+
 # ---------------------------------------------------------------- Renyi entropy
 
 
@@ -228,14 +276,6 @@ def test_conjugate_order():
     assert conjugate_order(2.0) == 2.0
     assert conjugate_order(3.0) == pytest.approx(1.5)
     assert conjugate_order(conjugate_order(1.25)) == pytest.approx(1.25)
-
-
-def test_entropy_budget():
-    b = EntropyBudget.from_order_level(2.0, 0.5)
-    assert b.q == 2.0
-    assert b.bound == pytest.approx(math.log(2.0))
-    with pytest.raises(PreconditionError):
-        EntropyBudget.from_order_level(2.0, 1.0)  # dual side needs alpha < 1
 
 
 # ---------------------------------------------------------------- dual oracle

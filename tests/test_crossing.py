@@ -9,6 +9,7 @@ plateau or the bracket midpoint.
 import math
 import random
 
+import numpy as np
 import pytest
 
 from lambdarisk import (
@@ -29,7 +30,7 @@ from lambdarisk import (
     worst_case_mean_variance,
     worst_case_wasserstein,
 )
-from lambdarisk import classical
+from lambdarisk import classical, lifting
 from lambdarisk.cli import main
 from lambdarisk.distributions import MomentSet
 
@@ -301,3 +302,94 @@ def test_constant_lift_solves_the_inner_problem_once(monkeypatch):
     res = lambda_lift(D3, evar_family(D3, 2.0), Constant(0.6))
     assert len(runs) == 1
     assert res.value == want
+
+
+@pytest.mark.parametrize("itol", ["nan", "-1"])
+def test_cli_rejects_bad_interval_tol(tmp_path, itol, capsys):
+    csv_path = tmp_path / "s.csv"
+    csv_path.write_text("value,probability\n0,0.3\n1,0.3\n2,0.4\n")
+    assert main(["evar", "--p", "2", "--alpha", "0", "--interval-tol", itol, str(csv_path)]) == 2
+    assert "interval_tol" in capsys.readouterr().err
+
+
+# ------------------------------------------- one crossing record per form
+#
+# Every lifted form reads the curve its crossing memoized, so no form solves
+# the inner problem again at a level the crossing already visited.
+
+LAW = make_distribution(np.random.default_rng(7).normal(size=60))
+FORM_LEVELS = {
+    "step": Step([-0.5, 0.3, 1.0], [0.9, 0.6, 0.3, 0.1], "right"),
+    "constant": Constant(0.6),
+    "pl_clamp": PiecewiseLinear([-3.0, -2.0], [0.95, 0.6]),  # crossing on the right clamp
+    "pl_slope": PiecewiseLinear([-1.0, 3.0], [0.95, 0.05]),  # crossing solved by ITP
+}
+
+
+@pytest.fixture
+def inner_solves(monkeypatch):
+    """count(run) -> (levels passed to evar_value, levels passed to evar) by run()."""
+    log = {"evar_value": [], "evar": []}
+    for name, calls in log.items():
+        solve = getattr(lifting, name)
+
+        def counted(dist, p, alpha, *args, _solve=solve, _calls=calls, **kw):
+            _calls.append(alpha)
+            return _solve(dist, p, alpha, *args, **kw)
+
+        monkeypatch.setattr(lifting, name, counted)
+
+    def count(run):
+        for calls in log.values():
+            calls.clear()
+        run()
+        return list(log["evar_value"]), list(log["evar"])
+
+    return count
+
+
+@pytest.mark.parametrize("kind", sorted(FORM_LEVELS))
+def test_extended_ru_costs_what_the_lift_costs(inner_solves, kind):
+    L = FORM_LEVELS[kind]
+    lift_values, lift_evars = inner_solves(lambda: lambda_lift(LAW, evar_family(LAW, 2.0), L))
+    ru_values, ru_evars = inner_solves(lambda: extended_ru(LAW, 2.0, L))
+    assert len(lift_evars) == len(ru_evars) == 1
+    assert len(set(ru_values)) == len(ru_values)  # no level solved twice
+    res = lambda_lift(LAW, evar_family(LAW, 2.0), L)
+    if kind == "pl_slope":
+        # the residual check reads the curve just outside the final ITP
+        # bracket, at two levels the crossing never visited
+        x, w = res.x_star, res.achieved_tol
+        assert w > 0.0
+        assert ru_values == lift_values + [L.eval(x - w), L.eval(x + w)]
+    else:
+        assert res.achieved_tol == 0.0  # exact crossing
+        assert ru_values == lift_values
+
+
+def test_constant_extended_ru_is_one_inner_solve(inner_solves):
+    L = Constant(0.6)
+    assert inner_solves(lambda: extended_ru(LAW, 2.0, L)) == ([], [0.6])
+    ru = extended_ru(LAW, 2.0, L)
+    lift = lambda_lift(LAW, evar_family(LAW, 2.0), L)
+    assert ru == lift
+    assert (ru.iterations, ru.achieved_tol) == (lift.iterations, lift.achieved_tol) == (0, 0.0)
+
+
+@pytest.mark.parametrize("kind", ["step", "constant", "pl_clamp"])
+def test_inf_form_reads_only_its_crossing(inner_solves, kind):
+    L = FORM_LEVELS[kind]
+    fam = evar_family(LAW, 2.0)
+    lo, hi = LAW.essinf - 10.0, LAW.esssup + 10.0
+    crossing_values, _ = inner_solves(lambda: solve_level_crossing(fam.level_value, L, lo, hi))
+    inf_values, inf_evars = inner_solves(lambda: lambda_lift_inf(LAW, fam, L))
+    assert inf_values == crossing_values and inf_evars == []
+    assert lambda_lift_inf(LAW, fam, L) == lambda_lift(LAW, fam, L).value
+
+
+# the inflated curve reads the nominal crossing's curve, so each level the
+# two crossings visit is solved once: 2, 1 and 17 levels on these inputs
+@pytest.mark.parametrize("kind,solves", [("step", 2), ("constant", 1), ("pl_slope", 17)])
+def test_wasserstein_solves_each_visited_level_once(inner_solves, kind, solves):
+    values, evars = inner_solves(lambda: worst_case_wasserstein(LAW, 2.0, FORM_LEVELS[kind], 0.3))
+    assert len(values) == len(set(values)) == solves and evars == []

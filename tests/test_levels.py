@@ -14,7 +14,7 @@ PL = PiecewiseLinear([0.0, 2.0], [0.8, 0.2])
 def test_constant_basics():
     c = Constant(0.5)
     assert c.eval(-1e9) == c.eval(1e9) == 0.5
-    assert c.max_level == c.min_level == 0.5
+    assert c.max_level == 0.5
     assert c.knots == ()
     assert c.is_left_continuous and c.is_right_continuous
     assert c.superlevel_sup(0.5) == math.inf
@@ -34,13 +34,12 @@ def test_step_continuity_tags():
     assert STEP_R.is_right_continuous and not STEP_R.is_left_continuous
     assert STEP_L.is_left_continuous and not STEP_L.is_right_continuous
     assert STEP_R.knots == (1.0,)
-    assert STEP_R.max_level == 0.9 and STEP_R.min_level == 0.3
+    assert STEP_R.max_level == 0.9
 
 
 def test_step_eval_off_knot():
     assert STEP_R.eval(0.999) == 0.9
     assert STEP_R.eval(1.001) == 0.3
-    assert STEP_R.tail_limits() == (0.9, 0.3)
 
 
 @pytest.mark.parametrize(

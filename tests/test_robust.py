@@ -102,9 +102,8 @@ def test_meanvar_constant_level_is_cantelli():
     m, v = 1.5, 2.0
     for alpha in (0.1, 0.5, 0.9):
         want = m + v * math.sqrt(alpha / (1.0 - alpha))
-        for measure in ("var", "es", "evar2"):
-            res = worst_case_mean_variance(MomentSet(m, v), Constant(alpha), measure)
-            assert res.value == pytest.approx(want, rel=1e-15, abs=1e-15)
+        res = worst_case_mean_variance(MomentSet(m, v), Constant(alpha))
+        assert res.value == pytest.approx(want, rel=1e-15, abs=1e-15)
 
 
 def test_meanvar_step_fixture():
@@ -139,15 +138,13 @@ def test_meanvar_dominates_two_point_members():
         hi = m + v * math.sqrt(q / (1.0 - q))
         member = make_distribution([lo, hi], [q, 1.0 - q])
         L = PiecewiseLinear([lo - 1.0, hi + 1.0], [0.9, 0.1])
-        for measure, p in (("es", 1.0), ("evar2", 2.0)):
-            robust = worst_case_mean_variance(MomentSet(m, v), L, measure).value
+        robust = worst_case_mean_variance(MomentSet(m, v), L).value
+        for p in (1.0, 2.0):
             got = lambda_lift(member, evar_family(member, p), L).value
             assert got <= robust + 1e-8
 
 
 def test_meanvar_preconditions():
-    with pytest.raises(PreconditionError):
-        worst_case_mean_variance(MomentSet(0.0, 1.0), Constant(0.5), "cvar")
     with pytest.raises(PreconditionError):
         worst_case_mean_variance(MomentSet(0.0, 1.0), Constant(1.0))
     with pytest.raises(PreconditionError):
