@@ -6,7 +6,10 @@ The order-p entropic value-at-risk solves the one-dimensional convex program
 
 reducing to expected shortfall at p = 1 and to esssup at alpha = 1. The solver
 returns the value together with the full minimizer interval (the objective's
-flat bottom), which downstream joint minimizations report as t*.
+flat bottom), which downstream joint minimizations report as t*. On a finite
+support the interval has exact structure: the quantile interval at p = 1, and
+for p > 1 a top-atom rule plus a binary search for the atom segment that holds
+the unique minimizer, solved there in closed form (p = 2) or by ITP.
 
 An independent simplex-grid search over the Renyi-entropy dual ball provides a
 lower-bound cross-check for small supports; weak duality is preserved exactly
@@ -37,6 +40,8 @@ __all__ = [
 
 _INF = float("inf")
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# knife-edge slack on masses: a level against a partial sum, c^p * P_top against 1
+_SLACK = 1e-12
 
 
 def conjugate_order(p: float) -> float:
@@ -47,7 +52,11 @@ def conjugate_order(p: float) -> float:
 
 @dataclass(frozen=True)
 class EvarSolution:
-    """Value plus the closed minimizer interval [t_lo, t_hi] (endpoints may be -inf)."""
+    """Value plus the closed minimizer interval [t_lo, t_hi] (endpoints may be -inf).
+
+    iterations counts the value's golden-section steps plus the interval's
+    slope probes and ITP steps; achieved_tol is the golden-section bracket.
+    """
 
     value: float
     t_lo: float
@@ -74,15 +83,17 @@ def _objective_value(dist: DiscreteDistribution, p: float, c: float, t: float) -
 
 
 def _objective_slope(dist: DiscreteDistribution, p: float, c: float, t: float) -> float:
-    """d/dt of the objective:  1 - c * S_{p-1}(t) * S_p(t)^{(1-p)/p},  S_r = E[(X-t)_+^r].
-
-    Negative left of the flat bottom, positive right of it; equals 1 above
-    esssup where the partial moment vanishes.
-    """
+    """d/dt of the objective at t, from the partial moments of the whole law."""
     sp = dist._plus_power_sum(t, p)
     if sp <= 0.0:
         return 1.0
     s1 = dist.survival(t) if p == 1.0 else dist._plus_power_sum(t, p - 1.0)
+    return _slope(c, p, s1, sp)
+
+
+def _slope(c: float, p: float, s1: float, sp: float) -> float:
+    """The slope  1 - c * S_{p-1}(t) * S_p(t)^{(1-p)/p},  S_r = E[(X-t)_+^r]: negative
+    left of the flat bottom, positive right of it, unchanged by rescaling X - t."""
     return 1.0 - c * s1 * sp ** ((1.0 - p) / p)
 
 
@@ -118,14 +129,13 @@ def evar(
 ) -> EvarSolution:
     """Entropic value-at-risk of order p at level alpha, with its minimizer interval.
 
-    alpha = 1 returns esssup (interval degenerate at esssup). alpha = 0 with
-    p > 1 returns the mean; the infimum is approached only as t -> -inf, so
-    t_lo = -inf and t_hi is where the objective exceeds value + interval_tol
-    (finite and >= 0; None means 1e-9 * (1 + |value|)). Otherwise the
-    objective is minimized by golden section over an adaptively widened
-    bracket, the value is polished by evaluating every atom (at p = 1
-    the exact minimizer is a quantile), and the flat bottom is recovered from
-    the objective's analytic slope, exactly at p = 1 via CDF quantiles.
+    The value is `evar_value`'s (golden section polished at every atom). The
+    interval comes from the support's structure: the quantile interval at
+    p = 1, `_minimizer_interval` at p > 1. At alpha = 0 with p > 1, or a level
+    so small that c = (1-alpha)^{-1/p} rounds to 1, the infimum is approached
+    only as t -> -inf, so t_lo = -inf and t_hi is where the objective rises
+    past value + interval_tol (finite and >= 0; None means
+    1e-9 * (1 + |value|)); interval_tol is used nowhere else.
     """
     p = _check_order(p)
     _check_solver_inputs(rel_tol, max_iter)
@@ -136,26 +146,17 @@ def evar(
     top = dist.esssup
     if alpha == 1.0:
         return EvarSolution(top, top, top, 0, 0.0)
-
-    if alpha == 0.0 and p > 1.0:
-        value = dist.mean
-        itol = 1e-9 * (1.0 + abs(value)) if interval_tol is None else interval_tol
-        c = 1.0
-        objective = lambda t: _objective_value(dist, p, c, t)
-        t_hi, iters = _upper_threshold(dist, objective, value + itol)
-        return EvarSolution(value, -_INF, t_hi, iters, 0.0)
-
-    value, x_best, iters, width = _evar_core(dist, p, alpha, rel_tol, max_iter)
-    itol = 1e-9 * (1.0 + abs(value)) if interval_tol is None else interval_tol
-    c = (1.0 / (1.0 - alpha)) ** (1.0 / p)
-    objective = lambda t: _objective_value(dist, p, c, t)
-
+    value, _, iters, width = _evar_core(dist, p, alpha, rel_tol, max_iter)
     if p == 1.0:
-        t_lo, t_hi = _quantile_interval(dist, alpha)
-    else:
-        t_lo, t_hi = _slope_interval(dist, p, c, x_best)
-        t_lo, t_hi = _snap_interval(dist, objective, value, itol, t_lo, t_hi, x_best)
-    return EvarSolution(value, t_lo, t_hi, iters, width)
+        return EvarSolution(value, *_quantile_interval(dist, alpha), iters, width)
+    c = (1.0 / (1.0 - alpha)) ** (1.0 / p)
+    found = None if c == 1.0 else _minimizer_interval(dist, p, alpha, c, rel_tol, max_iter)
+    if found is None:
+        itol = 1e-9 * (1.0 + abs(value)) if interval_tol is None else interval_tol
+        t_hi, steps = _upper_threshold(dist, p, c, value + itol, rel_tol, max_iter)
+        found = (-_INF, t_hi, steps)
+    t_lo, t_hi, steps = found
+    return EvarSolution(value, t_lo, t_hi, iters + steps, width)
 
 
 def _evar_core(
@@ -214,142 +215,157 @@ def _golden_min(
     return best_x, best_f, iters, b - a
 
 
-def _upper_threshold(
-    dist: DiscreteDistribution, objective: Callable[[float], float], thr: float
-) -> tuple[float, int]:
-    """sup{t : objective(t) <= thr} for an increasing objective (alpha = 0, p > 1)."""
-    lo = dist.essinf
-    iters = 0
-    step = max(dist.esssup - dist.essinf, 1.0)
-    while objective(lo) > thr and iters < 60:
-        lo -= step
-        step *= 2.0
-        iters += 1
-    hi = max(dist.esssup, thr) + 1.0
-    for _ in range(200):
-        if hi - lo <= 1e-12 * (1.0 + abs(hi)):
-            break
-        mid = 0.5 * (lo + hi)
-        if objective(mid) <= thr:
-            lo = mid
-        else:
-            hi = mid
-        iters += 1
-    return 0.5 * (lo + hi), iters
-
-
 def _quantile_interval(dist: DiscreteDistribution, alpha: float) -> tuple[float, float]:
     """Exact minimizer interval [VaR_alpha, VaR+_alpha] of the p = 1 objective.
 
-    A 1e-12 slack on the cumulative masses keeps knife-edge levels (alpha equal
+    A _SLACK on the cumulative masses keeps knife-edge levels (alpha equal
     to a partial sum up to rounding) from flipping an index.
     """
-    slack = 1e-12
     cum = dist._cum
     n = dist.support_size
     if alpha == 0.0:
         t_lo = -_INF  # the objective is flat on (-inf, essinf]
     else:
-        t_lo = float(dist.values[min(int(np.searchsorted(cum, alpha - slack, side="left")), n - 1)])
-    t_hi = float(dist.values[min(int(np.searchsorted(cum, alpha + slack, side="right")), n - 1)])
+        t_lo = float(dist.values[min(int(np.searchsorted(cum, alpha - _SLACK, side="left")), n - 1)])
+    t_hi = float(dist.values[min(int(np.searchsorted(cum, alpha + _SLACK, side="right")), n - 1)])
     return t_lo, t_hi
 
 
-def _slope_interval(
-    dist: DiscreteDistribution, p: float, c: float, x_best: float
-) -> tuple[float, float]:
-    """Minimizer interval of the p > 1 objective by sign-bisection of its slope.
+def _minimizer_interval(
+    dist: DiscreteDistribution, p: float, alpha: float, c: float, rel_tol: float, max_iter: int
+) -> tuple[float, float, int] | None:
+    """Exact minimizer interval of the p > 1 objective at c > 1, and its probes plus ITP steps.
 
-    f'(t) = 1 - c * S_{p-1}(t) * S_p(t)^{(1-p)/p} with S_r(t) = E[(X-t)_+^r],
-    continuous for p > 1 and crossing a flat [slope ~ 0] bottom once.
+    Works on the standardised atoms z = (x - esssup) / spread in [-1, 0]. On
+    the top segment the slope is the constant 1 - c * P_top^{1/p}, so
+    c^p * P_top = 1 (within _SLACK) gives the flat bottom [x_{n-2}, esssup]
+    and c^p * P_top > 1 the point esssup. Otherwise the objective is strictly
+    convex below, and a binary search finds the last atom where the slope,
+    read from the tail above it, is negative; the minimizer is the slope's
+    root on the next segment: mu_S - sqrt(V_S / (c^2 P_S - 1)) from the
+    tail's mass, mean and variance at p = 2, the final ITP bracket (rel_tol
+    of the segment) at other p. None if the slope far below essinf does not
+    read negative (c within a few ulps of 1).
     """
-    seps = 2e-14
-    top = dist.esssup
-    span = max(top - dist.essinf, 1.0)
+    top, n = dist.esssup, dist.support_size
+    gap = c**p * float(dist.probs[-1]) - 1.0
+    if n > 1 and abs(gap) <= _SLACK:
+        return float(dist.values[-2]), top, 0
+    if n == 1 or gap > 0.0:
+        return top, top, 0
+    spread = top - dist.essinf
+    z = (dist.values - top) / spread
+    w = dist.probs
 
-    def slope(t: float) -> float:
-        return _objective_slope(dist, p, c, t)
+    def slope(tau: float, k: int) -> float:
+        # slope at tau < 0 from the tail z[k:], whose excesses z - tau are
+        # divided by -tau so that they lie in [0, 1] however far out tau is
+        y = 1.0 - z[k:] / tau
+        y_q = y ** (p - 1.0)
+        return _slope(c, p, float(w[k:] @ y_q), float(w[k:] @ (y_q * y)))
 
-    # left endpoint: boundary between slope < -seps and slope >= -seps
-    lo, hi = x_best - span, x_best
-    if slope(hi) < -seps:  # golden landed left of the flat bottom
-        grow = span
-        for _ in range(60):
-            hi = min(top, hi + grow)
-            grow *= 2.0
-            if slope(hi) >= -seps or hi >= top:
-                break
-    grow = span
-    for _ in range(60):
-        if slope(lo) < -seps:
-            break
-        lo -= grow
-        grow *= 2.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if slope(mid) < -seps:
-            lo = mid
+    # slope(z[lo]) < 0 <= slope(z[hi]), with lo = -1 standing for t -> -inf;
+    # the top-atom rule has made the slope on the top segment positive
+    lo, hi, probes = -1, n - 2, 0
+    f_lo = f_hi = None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        s = slope(float(z[mid]), mid + 1)
+        probes += 1
+        if s < 0.0:
+            lo, f_lo = mid, s
         else:
-            hi = mid
-    t_lo = 0.5 * (lo + hi)
-
-    # right endpoint: boundary between slope <= seps and slope > seps
-    lo, hi = x_best, max(x_best, top)
-    if slope(lo) > seps:  # golden landed right of the flat bottom
-        grow = span
-        for _ in range(60):
-            lo -= grow
-            grow *= 2.0
-            if slope(lo) <= seps:
-                break
-    if slope(hi) <= seps:
-        t_hi = hi  # flat all the way to esssup
+            hi, f_hi = mid, s
+    b = float(z[hi])
+    if p == 2.0:
+        zs, ws = z[hi:], w[hi:]
+        mass = float(ws.sum())
+        mu = float(ws @ zs) / mass
+        var = float(ws @ (zs - mu) ** 2) / mass
+        excess = (alpha - (0.0 if lo < 0 else float(dist._cum[lo]))) / (1.0 - alpha)
+        tau = mu - math.sqrt(var / excess) if excess > 0.0 else -_INF
+        tau_lo = tau_hi = min(max(tau, -_INF if lo < 0 else float(z[lo])), b)
     else:
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if slope(mid) > seps:
-                hi = mid
-            else:
-                lo = mid
-        t_hi = 0.5 * (lo + hi)
-    if t_lo > t_hi:
-        t_lo = t_hi = x_best
-    return t_lo, t_hi
+        if lo < 0:
+            # with every excess z - a in [m, m + 1] the slope is at most
+            # 1 - c (m/(m+1))^{p-1}, negative once m > 1/(1 - c^{-1/(p-1)})
+            a = -1.0 - 2.0 / -math.expm1(-math.log1p(c - 1.0) / (p - 1.0))
+            f_lo = slope(a, 0)
+            probes += 1
+            if not f_lo < 0.0:
+                return None
+        else:
+            a = float(z[lo])
+        if f_hi is None:
+            f_hi = slope(b, hi + 1)
+            probes += 1
+        tol = rel_tol * (b - a) or math.ulp(b - a)
+        tau_lo, tau_hi, steps = _itp(lambda tau: slope(tau, hi), a, b, f_lo, f_hi, tol, max_iter)
+        probes += steps
+    return top + spread * tau_lo, top + spread * tau_hi, probes
 
 
-def _snap_interval(
-    dist: DiscreteDistribution,
-    objective: Callable[[float], float],
-    value: float,
-    itol: float,
-    t_lo: float,
-    t_hi: float,
-    x_best: float,
-) -> tuple[float, float]:
-    """Pin near-atom endpoints onto atoms when the atom still minimizes."""
+def _upper_threshold(
+    dist: DiscreteDistribution, p: float, c: float, thr: float, rel_tol: float, max_iter: int
+) -> tuple[float, int]:
+    """sup{t : objective(t) <= thr} right of the minimum, and the work it took.
 
-    def snap(e: float) -> float:
-        if not math.isfinite(e):
-            return e
-        i = int(np.argmin(np.abs(dist.values - e)))
-        atom = float(dist.values[i])
-        if abs(atom - e) <= 1e-5 * (1.0 + abs(e)) and objective(atom) <= value + itol:
-            return atom
-        return e
+    The objective is t above esssup. Below it, doubling steps under essinf
+    find a start and one ITP solve up to esssup ends at rel_tol of the spread,
+    returning the final bracket's left end (objective still <= thr).
+    """
+    top, bottom = dist.esssup, dist.essinf
+    if thr >= top:
+        return thr, 0
+    g = lambda t: _objective_value(dist, p, c, t) - thr
+    a, step, doublings = bottom, top - bottom, 0
+    ga = g(a)
+    while ga > 0.0 and doublings < 60:
+        a -= step
+        step *= 2.0
+        doublings += 1
+        ga = g(a)
+    if ga > 0.0:
+        return a, doublings  # the objective never came under thr this far out
+    tol = rel_tol * (top - bottom) or math.ulp(top - bottom)
+    t_hi, _, steps = _itp(g, a, top, ga, top - thr, tol, max_iter)
+    return t_hi, doublings + steps
 
-    t_lo, t_hi = snap(t_lo), snap(t_hi)
-    if t_lo > t_hi:
-        t_lo, t_hi = t_hi, t_lo
-    # keep the reported interval inside the near-flat set (normally a no-op)
-    for _ in range(80):
-        if objective(t_lo) <= value + itol:
+
+def _itp(
+    f: Callable[[float], float], a: float, b: float, fa: float, fb: float, tol: float, max_iter: int
+) -> tuple[float, float, int]:
+    """Root of an increasing f on [a, b] with fa < 0 < fb, to bracket width tol.
+
+    ITP (interpolate, truncate, project; Oliveira & Takahashi 2020) with
+    kappa1 = 0.2 / (b - a), kappa2 = 2 and n0 = 1: at most
+    ceil(log2((b - a) / tol)) + 1 steps, superlinear on smooth f. Returns the
+    final bracket and the step count; the bracket is one point where f
+    vanishes exactly.
+    """
+    eps = 0.5 * tol
+    width0 = b - a
+    n_max = max(0, math.ceil(math.log2(width0 / tol))) + 1
+    steps = 0
+    while b - a > tol and steps < max_iter:
+        half = 0.5 * (a + b)
+        if not a < half < b:  # no float left strictly inside
             break
-        t_lo = 0.5 * (t_lo + x_best)
-    for _ in range(80):
-        if objective(t_hi) <= value + itol:
-            break
-        t_hi = 0.5 * (t_hi + x_best)
-    return t_lo, t_hi
+        x_f = (fb * a - fa * b) / (fb - fa)
+        sigma = math.copysign(1.0, half - x_f)
+        delta = 0.2 * (b - a) * ((b - a) / width0)
+        x_t = x_f + sigma * delta if delta <= abs(half - x_f) else half
+        r = max(math.ldexp(eps, n_max - steps) - 0.5 * (b - a), 0.0)  # 0: plain bisection
+        x = x_t if abs(x_t - half) <= r else half - sigma * r
+        y = f(x)
+        steps += 1
+        if y > 0.0:
+            b, fb = x, y
+        elif y < 0.0:
+            a, fa = x, y
+        else:
+            return x, x, steps
+    return a, b, steps
 
 
 def renyi_entropy(

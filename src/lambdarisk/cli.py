@@ -389,7 +389,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=float, required=True, help="norm order >= 1")
     sp.add_argument("--alpha", type=float, required=True, help="confidence level in [0, 1]")
     sp.add_argument("--interval-tol", type=float, default=None,
-                    help="objective slack defining the reported minimizer interval")
+                    help="alpha = 0 only: objective slack above the mean that "
+                         "places the right end of the reported interval")
     sp.add_argument("file", help="scenario CSV")
     _add_solver_flags(sp, rel_tol=1e-10)
     _add_io_flags(sp)

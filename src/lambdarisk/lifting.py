@@ -34,6 +34,7 @@ from .classical import (
     _check_order,
     _check_solver_inputs,
     _entropy_of_blocks,
+    _itp,
     _quantile_interval,
     _simplex_blocks,
     conjugate_order,
@@ -136,9 +137,14 @@ def evar_family(dist: DiscreteDistribution, p: float) -> BaseMeasureFamily:
 
 class _Crossing(NamedTuple):
     x: float
+    lo: float  # final bracket; lo == hi == x for an exact crossing
+    hi: float
     iterations: int
-    width: float
     curve: Callable[[float], float]  # memoized level -> phi(level) the search evaluated
+
+    @property
+    def width(self) -> float:
+        return self.hi - self.lo
 
 
 def solve_level_crossing(
@@ -168,11 +174,11 @@ def solve_level_crossing(
       rel_tol * (hi - lo). ITP never needs more steps than bisection plus
       one and converges superlinearly on smooth curves.
 
-    Only the width of [lo, hi] is used: it is the problem's scale. Exact
-    crossings report width 0; otherwise x is the midpoint of the final
-    bracket and width its width. iterations counts piece probes plus ITP
+    Only the width of [lo, hi] is used: it is the problem's scale. The record
+    keeps the final bracket (lo, hi), one point for an exact crossing; x is
+    its midpoint and width its width. iterations counts piece probes plus ITP
     steps; max_iter caps the ITP steps. curve is the memoized phi: reading
-    it at a level the search visited costs nothing.
+    it at a level the search visited (a bracket end included) costs nothing.
     """
     _check_solver_inputs(rel_tol, max_iter)
     cache: dict[float, float] = {}
@@ -199,57 +205,19 @@ def solve_level_crossing(
         elif vb > b:
             first = mid + 1
         elif va == vb:
-            return _Crossing(va, probes, 0.0, curve)
+            return _Crossing(va, va, va, probes, curve)
         elif va == a or vb == b:
-            return _Crossing(a if va == a else b, probes, 0.0, curve)
+            x = a if va == a else b
+            return _Crossing(x, x, x, probes, curve)
         else:
             tol = rel_tol * abs(hi - lo) or math.ulp(max(abs(a), abs(b)))
-            x, steps, width = _itp(
+            x_lo, x_hi, steps = _itp(
                 lambda x: x - curve(level_fn.eval(x)), a, b, a - va, b - vb, tol, max_iter
             )
-            return _Crossing(x, probes + steps, width, curve)
+            return _Crossing(0.5 * (x_lo + x_hi), x_lo, x_hi, probes + steps, curve)
     # pieces[last] ends above the identity and pieces[first] starts below it
-    return _Crossing(pieces[first][0], probes, 0.0, curve)
-
-
-def _itp(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    fa: float,
-    fb: float,
-    tol: float,
-    max_iter: int,
-) -> tuple[float, int, float]:
-    """Root of an increasing f on [a, b] with fa < 0 < fb, to bracket width tol.
-
-    ITP with kappa1 = 0.2 / (b - a), kappa2 = 2 and n0 = 1: at most
-    ceil(log2((b - a) / tol)) + 1 steps. Returns (x, steps, bracket width);
-    the width is 0 when f vanishes exactly at x.
-    """
-    eps = 0.5 * tol
-    width0 = b - a
-    n_max = max(0, math.ceil(math.log2(width0 / tol))) + 1
-    steps = 0
-    while b - a > tol and steps < max_iter:
-        half = 0.5 * (a + b)
-        if not a < half < b:  # no float left strictly inside
-            break
-        x_f = (fb * a - fa * b) / (fb - fa)
-        sigma = math.copysign(1.0, half - x_f)
-        delta = 0.2 * (b - a) * ((b - a) / width0)
-        x_t = x_f + sigma * delta if delta <= abs(half - x_f) else half
-        r = max(math.ldexp(eps, n_max - steps) - 0.5 * (b - a), 0.0)  # 0: plain bisection
-        x = x_t if abs(x_t - half) <= r else half - sigma * r
-        y = f(x)
-        steps += 1
-        if y > 0.0:
-            b, fb = x, y
-        elif y < 0.0:
-            a, fa = x, y
-        else:
-            return x, steps, 0.0
-    return 0.5 * (a + b), steps, b - a
+    x = pieces[first][0]
+    return _Crossing(x, x, x, probes, curve)
 
 
 def _crossing_bracket(dist: DiscreteDistribution) -> tuple[float, float]:
@@ -269,15 +237,15 @@ def _lift(
     level_fn: LambdaFunction,
     rel_tol: float,
     max_iter: int,
-) -> tuple[LambdaRiskResult, EvarSolution | None, Callable[[float], float]]:
-    """The sup-of-min lift, the inner solution at its level, and the level curve."""
+) -> tuple[LambdaRiskResult, EvarSolution | None, _Crossing]:
+    """The sup-of-min lift, the inner solution at its level, and the crossing record."""
     _check_solver_inputs(rel_tol, max_iter)
     if isinstance(level_fn, Constant):
         # one full inner solve; the curve of a constant level is its one value
         sol = family.level_solution(level_fn.level)
         value = family.level_value(level_fn.level) if sol is None else sol.value
         result = LambdaRiskResult(value, value, *_interval(sol), True, 0, 0.0)
-        return result, sol, lambda level: value
+        return result, sol, _Crossing(value, value, value, 0, lambda level: value)
     cross = solve_level_crossing(
         family.level_value, level_fn, *_crossing_bracket(dist), rel_tol=rel_tol, max_iter=max_iter
     )
@@ -286,7 +254,7 @@ def _lift(
     result = LambdaRiskResult(
         cross.x, cross.x, *_interval(sol), attained, cross.iterations, cross.width
     )
-    return result, sol, cross.curve
+    return result, sol, cross
 
 
 def lambda_lift(
@@ -311,17 +279,16 @@ def lambda_lift_inf(
 ) -> float:
     """inf_x max(rho_{L(x)}(X), x); equals the sup form up to solver tolerance.
 
-    The objective is read off the crossing's curve at the crossing and at the
-    ends of its final bracket, through the one-sided limits of L. The cost is
-    the crossing's evaluations plus any of these levels it did not visit:
-    none when it closed at a breakpoint or inside a step plateau, at most
-    three after an ITP solve.
+    The objective is read off the crossing's curve at the ends of its final
+    bracket (the crossing itself when exact), through the one-sided limits of
+    L. The crossing visited those levels, so this costs its evaluations only.
+    After an ITP solve the value is within the bracket width of the sup form.
     """
     cross = solve_level_crossing(
         family.level_value, level_fn, *_crossing_bracket(dist), rel_tol=rel_tol, max_iter=max_iter
     )
     best = _INF
-    for x in {cross.x - cross.width, cross.x, cross.x + cross.width}:
+    for x in {cross.lo, cross.hi}:
         for level in {level_fn.left_limit(x), level_fn.right_limit(x)}:
             best = min(best, max(cross.curve(level), x))
     return best
@@ -356,23 +323,24 @@ def extended_ru(
     attained). It is lambda_lift's evar lift: the outer variable is the
     crossing, the inner one the entropic minimizer interval at its level, and
     the cost is the crossing's evaluations plus one full inner solve. The
-    optimality residual is verified against the crossing's curve before
-    returning: free when the crossing closed at a breakpoint or inside a step
-    plateau, two levels just outside the final bracket after an ITP solve.
+    optimality residual is verified against the crossing's curve at the ends
+    of its final bracket before returning, levels the crossing visited, so
+    the check costs no further inner solve.
     """
     if not level_fn.is_right_continuous:
         raise PreconditionError("joint minimization needs a right-continuous level function")
-    result, sol, curve = _lift(dist, evar_family(dist, p), level_fn, rel_tol, max_iter)
-    x_star, width = result.x_star, result.achieved_tol
+    result, sol, cross = _lift(dist, evar_family(dist, p), level_fn, rel_tol, max_iter)
+    x_star = result.x_star
     level = level_fn.eval(x_star)
     t_ref = sol.t_hi if not math.isfinite(sol.t_lo) else 0.5 * (sol.t_lo + sol.t_hi)
     inner = dist.esssup if level == 1.0 else evar_objective(dist, p, level, t_ref)
     residual = abs(max(inner, x_star) - x_star)
-    # provable slack: curve variation across the final bracket, limits from
-    # outside included, plus its width
-    above, below = level_fn.left_limit(x_star - width), level_fn.right_limit(x_star + width)
-    variation = curve(above) - curve(below)
-    bound = max(1e-9 * (1.0 + abs(x_star)), max(variation, 0.0) + 10.0 * width)
+    # provable slack: the curve C decreases, C(L(lo-)) >= lo and C(L(hi+)) <= hi
+    # on the final bracket [lo, hi], so inner - x* <= C(L(lo-)) - C(L(hi+)) + width/2
+    variation = cross.curve(level_fn.left_limit(cross.lo)) - cross.curve(
+        level_fn.right_limit(cross.hi)
+    )
+    bound = max(1e-9 * (1.0 + abs(x_star)), max(variation, 0.0) + 0.5 * cross.width)
     if residual > bound:
         raise ArithmeticError(f"joint minimum failed verification (residual {residual:g})")
     return result

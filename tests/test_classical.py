@@ -108,8 +108,7 @@ def test_two_point_closed_form(p):
     d = make_distribution([a, b], [beta, 1.0 - beta])
     sol = evar(d, p, beta)
     assert sol.value == pytest.approx(b, abs=1e-10)
-    assert sol.t_lo == pytest.approx(a, abs=1e-7)
-    assert sol.t_hi == pytest.approx(b, abs=1e-7)
+    assert (sol.t_lo, sol.t_hi) == (a, b)  # the top-atom knife edge: [x_{n-2}, esssup]
 
 
 @given(dists(max_support=6), st.sampled_from([2.0, 3.0]), st.sampled_from([0.3, 0.7]))
@@ -177,6 +176,87 @@ def test_solution_interval_brackets_value():
         assert math.isfinite(sol.t_lo) and sol.t_lo <= sol.t_hi
         for t in (sol.t_lo, 0.5 * (sol.t_lo + sol.t_hi), sol.t_hi):
             assert evar_objective(U4, p, 0.6, t) == pytest.approx(sol.value, rel=1e-6, abs=1e-6)
+
+
+# ---------------------------------------------------------------- minimizer interval
+#
+# The reference for t* at p = 2 is the closed form t = mu_S - sqrt(V_S/(c^2 P_S - 1))
+# tried on every atom segment here, independently of the solver's segment search.
+
+D3 = make_distribution([0.0, 1.0, 2.0])
+
+
+def closed_form_minimizer(values, probs, alpha):
+    """t* of the p = 2 objective: the one segment whose closed form lies inside it."""
+    if probs[-1] / (1.0 - alpha) > 1.0:
+        return float(values[-1])  # the slope on the top segment is negative
+    for j in range(len(values) - 1):  # tail values[j:], segment [values[j-1], values[j]]
+        x, w = values[j:], probs[j:]
+        mass = w.sum()
+        mu = w @ x / mass
+        var = w @ (x - mu) ** 2 / mass
+        excess = (alpha - probs[:j].sum()) / (1.0 - alpha)  # c^2 P_S - 1
+        if excess <= 0.0:
+            continue
+        t = mu - math.sqrt(var / excess)
+        if (values[j - 1] if j else -math.inf) <= t <= values[j]:
+            return float(t)
+    raise AssertionError("no segment holds the minimizer")
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("s", [1e-300, 1e-12, 1e200])
+def test_minimizer_interval_is_scale_equivariant(p, s):
+    # at the unit scale t* = 1.5 - sqrt(3)/2 = 0.634 for p = 2; the interval
+    # used to come out as 1.0 at 1e-12, 0 at 1e-300 and 2 at 1e200
+    unit = evar(D3, p, 0.5)
+    sol = evar(D3.scale(s), p, 0.5)
+    assert sol.t_lo / s == pytest.approx(unit.t_lo, rel=1e-12)
+    assert sol.t_hi / s == pytest.approx(unit.t_hi, rel=1e-12)
+    if p == 2.0:
+        assert unit.t_lo == unit.t_hi == pytest.approx(1.5 - math.sqrt(0.75), rel=1e-15)
+
+
+def test_minimizer_at_a_tiny_level_is_one_point():
+    # the band [-833343, -800561] the slope bisections reported around one point
+    alpha = 1e-12
+    sol = evar(D3, 2.0, alpha)
+    assert sol.t_lo == sol.t_hi
+    assert sol.t_lo == pytest.approx(1.0 - math.sqrt((2.0 / 3.0) * (1.0 - alpha) / alpha), rel=1e-6)
+
+
+# at 1e-17 c rounds to 1; at 1e-16 with p = 1.5 it is one ulp above 1, and the
+# slope 1 - c far below essinf drowns in rounding
+@pytest.mark.parametrize("p,alpha", [(1.5, 1e-17), (2.0, 1e-17), (3.0, 1e-17), (1.5, 1e-16)])
+def test_level_where_c_rounds_to_one_takes_the_level_zero_route(p, alpha):
+    assert (1.0 / (1.0 - alpha)) ** (1.0 / p) <= 1.0 + 2.0**-52
+    sol = evar(D3, p, alpha)
+    assert sol.t_lo == -math.inf
+    assert math.isfinite(sol.t_hi) and sol.t_hi <= D3.esssup
+    assert sol.iterations < 400
+
+
+def test_minimizer_matches_an_independent_reference():
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        n = int(rng.integers(2, 61))
+        d = make_distribution(rng.normal(size=n), rng.uniform(0.05, 1.0, n))
+        p = float(rng.choice([1.5, 2.0, 3.0]))
+        alpha = float(rng.uniform(0.005, 0.995))
+        sol = evar(d, p, alpha)
+        spread = d.esssup - d.essinf
+        t = 0.5 * (sol.t_lo + sol.t_hi)
+        if p == 2.0:
+            want = closed_form_minimizer(d.values, d.probs, alpha)
+            assert abs(sol.t_lo - want) <= 1e-12 * spread
+            assert abs(sol.t_hi - want) <= 1e-12 * spread
+        f = evar_objective(d, p, alpha, t)
+        assert f <= sol.value + 1e-12 * spread
+        # a minimizer: no lower value 1e-9 of the spread to either side, up to
+        # the two ulps the objective's own rounding can move
+        rounding = 2.0 * math.ulp(abs(t) + abs(f) + spread)
+        for step in (-1e-9 * spread, 1e-9 * spread):
+            assert evar_objective(d, p, alpha, t + step) >= f - rounding
 
 
 @pytest.mark.parametrize(

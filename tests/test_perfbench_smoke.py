@@ -14,7 +14,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["portfolio-large", "lift-entropic"])
+@pytest.mark.parametrize("workload", ["portfolio-large", "lift-entropic", "cli-cold"])
 def test_benchmark_runs_and_every_request_checks_out(workload):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
