@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .distributions import DiscreteDistribution
+from .distributions import DiscreteDistribution, _check_closed_level
 from .errors import PreconditionError
 
 __all__ = [
@@ -105,17 +105,16 @@ def evar_value(
     rel_tol: float = 1e-10,
     max_iter: int = 200,
 ) -> float:
-    """The entropic value-at-risk alone, skipping minimizer-interval recovery.
+    """The entropic value-at-risk alone, without the minimizer interval.
 
-    Cheap path for callers that evaluate the measure at many levels (curve
-    solvers, grid oracles); `evar` delegates here and then recovers t*.
+    The value solve that `evar` runs (golden section polished at every atom;
+    the mean where c = (1-alpha)^{-1/p} rounds to 1), for callers that
+    evaluate the measure at many levels (curve solvers, grid oracles).
     """
     p = _check_order(p)
     _check_solver_inputs(rel_tol, max_iter)
-    if not 0.0 <= alpha <= 1.0:
-        raise PreconditionError(f"level {alpha!r} outside [0, 1]")
-    value, _, _, _ = _evar_core(dist, p, alpha, rel_tol, max_iter)
-    return value
+    _check_closed_level(alpha)
+    return _evar_core(dist, p, alpha, rel_tol, max_iter)[0]
 
 
 def evar(
@@ -129,90 +128,99 @@ def evar(
 ) -> EvarSolution:
     """Entropic value-at-risk of order p at level alpha, with its minimizer interval.
 
-    The value is `evar_value`'s (golden section polished at every atom). The
-    interval comes from the support's structure: the quantile interval at
-    p = 1, `_minimizer_interval` at p > 1. At alpha = 0 with p > 1, or a level
-    so small that c = (1-alpha)^{-1/p} rounds to 1, the infimum is approached
-    only as t -> -inf, so t_lo = -inf and t_hi is where the objective rises
-    past value + interval_tol (finite and >= 0; None means
-    1e-9 * (1 + |value|)); interval_tol is used nowhere else.
+    The value is `evar_value`'s. The interval depends on the law, p and alpha
+    only, not on the value: the quantile interval at p = 1,
+    `_minimizer_interval` at p > 1. At alpha = 0 with p > 1, or a level so
+    small that c = (1-alpha)^{-1/p} rounds to 1, the infimum (the mean) is
+    approached only as t -> -inf, so t_lo = -inf and t_hi is where the
+    objective rises past mean + interval_tol (finite and >= 0; None means
+    1e-9 * (1 + |mean|)); interval_tol is used nowhere else.
     """
     p = _check_order(p)
     _check_solver_inputs(rel_tol, max_iter)
     if not (interval_tol is None or (_finite_real(interval_tol) and interval_tol >= 0.0)):
         raise PreconditionError(f"interval_tol must be finite and >= 0, got {interval_tol!r}")
-    if not 0.0 <= alpha <= 1.0:
-        raise PreconditionError(f"level {alpha!r} outside [0, 1]")
+    _check_closed_level(alpha)
+    value, iters, width = _evar_core(dist, p, alpha, rel_tol, max_iter)
+    t_lo, t_hi, steps = _evar_interval(dist, p, alpha, rel_tol, max_iter, interval_tol)
+    return EvarSolution(value, t_lo, t_hi, iters + steps, width)
+
+
+def _evar_interval(
+    dist: DiscreteDistribution,
+    p: float,
+    alpha: float,
+    rel_tol: float,
+    max_iter: int,
+    interval_tol: float | None,
+) -> tuple[float, float, int]:
+    """`evar`'s minimizer interval [t_lo, t_hi] and the steps it took, with no value solve."""
     top = dist.esssup
     if alpha == 1.0:
-        return EvarSolution(top, top, top, 0, 0.0)
-    value, _, iters, width = _evar_core(dist, p, alpha, rel_tol, max_iter)
+        return top, top, 0
     if p == 1.0:
-        return EvarSolution(value, *_quantile_interval(dist, alpha), iters, width)
+        return (*_quantile_interval(dist, alpha), 0)
     c = (1.0 / (1.0 - alpha)) ** (1.0 / p)
     found = None if c == 1.0 else _minimizer_interval(dist, p, alpha, c, rel_tol, max_iter)
     if found is None:
-        itol = 1e-9 * (1.0 + abs(value)) if interval_tol is None else interval_tol
-        t_hi, steps = _upper_threshold(dist, p, c, value + itol, rel_tol, max_iter)
+        mean = dist.mean
+        itol = 1e-9 * (1.0 + abs(mean)) if interval_tol is None else interval_tol
+        t_hi, steps = _upper_threshold(dist, p, c, mean + itol, rel_tol, max_iter)
         found = (-_INF, t_hi, steps)
-    t_lo, t_hi, steps = found
-    return EvarSolution(value, t_lo, t_hi, iters + steps, width)
+    return found
 
 
 def _evar_core(
     dist: DiscreteDistribution, p: float, alpha: float, rel_tol: float, max_iter: int
-) -> tuple[float, float, int, float]:
-    """Golden-section minimum with leftward bracket doubling and atom polish."""
+) -> tuple[float, int, float]:
+    """Golden-section minimum, leftward bracket doubling, atom polish: value, steps, width."""
     if alpha == 1.0:
-        top = dist.esssup
-        return top, top, 0, 0.0
-    if alpha == 0.0:
-        # the infimum is E[X] (attained on (-inf, essinf] at p = 1, in the
-        # t -> -inf limit at p > 1); chasing it numerically would cancel
-        return dist.mean, dist.essinf, 0, 0.0
+        return dist.esssup, 0, 0.0
     c = (1.0 / (1.0 - alpha)) ** (1.0 / p)
+    if c == 1.0:
+        # the objective is t + ||(X-t)_+||_p (at alpha = 0, or a level so small
+        # that c rounds to 1), whose infimum E[X] is attained on (-inf, essinf]
+        # at p = 1 and in the t -> -inf limit at p > 1; chasing it would cancel
+        return dist.mean, 0, 0.0
     objective = lambda t: _objective_value(dist, p, c, t)
     span = dist.esssup - dist.essinf
     step = max(span, 1.0)
     a, b = dist.essinf - step, dist.esssup
     # the minimum is bracketed iff the slope at a is already nonpositive; the
-    # slope tends to 1 - c < 0 as t -> -inf, so this terminates for alpha > 0
+    # slope tends to 1 - c < 0 as t -> -inf, so this terminates for c > 1
     doublings = 0
     while _objective_slope(dist, p, c, a) > 0.0 and doublings < 60:
         a = b - 2.0 * (b - a)
         doublings += 1
     tol_w = rel_tol * (1.0 + span)
-    x_best, f_best, iters, width = _golden_min(objective, a, b, tol_w, max_iter)
+    f_best, iters, width = _golden_min(objective, a, b, tol_w, max_iter)
     for t in map(float, dist.values):
-        ft = objective(t)
-        if ft < f_best:
-            x_best, f_best = t, ft
-    return f_best, x_best, iters + doublings, width
+        f_best = min(f_best, objective(t))
+    return f_best, iters + doublings, width
 
 
 def _golden_min(
     f: Callable[[float], float], a: float, b: float, tol: float, max_iter: int
-) -> tuple[float, float, int, float]:
+) -> tuple[float, int, float]:
+    """Least value seen by golden section on [a, b], its steps and final width."""
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
-    best_x, best_f = (c, fc) if fc <= fd else (d, fd)
+    best = fc if fc <= fd else fd
     iters = 0
     while b - a > tol and iters < max_iter:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
             fc = f(c)
-            if fc < best_f:
-                best_x, best_f = c, fc
+            best = min(best, fc)
         else:
             a, c, fc = c, d, fd
             d = a + _INV_PHI * (b - a)
             fd = f(d)
-            if fd < best_f:
-                best_x, best_f = d, fd
+            best = min(best, fd)
         iters += 1
-    return best_x, best_f, iters, b - a
+    return best, iters, b - a
 
 
 def _quantile_interval(dist: DiscreteDistribution, alpha: float) -> tuple[float, float]:

@@ -110,12 +110,6 @@ class DiscreteDistribution:
         idx = int(np.searchsorted(self._cum, alpha, side="left"))
         return float(self.values[min(idx, self.support_size - 1)])
 
-    def upper_quantile(self, alpha: float) -> float:
-        """Right alpha-quantile  sup{x : F(x-) <= alpha}."""
-        _check_closed_level(alpha)
-        idx = int(np.searchsorted(self._cum, alpha, side="right"))
-        return float(self.values[min(idx, self.support_size - 1)])
-
     def expected_shortfall(self, alpha: float) -> float:
         """Tail average  (1/(1-alpha)) * integral_alpha^1 VaR_s ds;  esssup at alpha=1.
 

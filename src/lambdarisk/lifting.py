@@ -30,21 +30,19 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .classical import (
-    EvarSolution,
     _check_order,
     _check_solver_inputs,
     _entropy_of_blocks,
+    _evar_interval,
     _itp,
-    _quantile_interval,
     _simplex_blocks,
     conjugate_order,
-    evar,
     evar_objective,
     evar_value,
 )
-from .distributions import DiscreteDistribution
+from .distributions import DiscreteDistribution, _check_closed_level
 from .errors import PreconditionError
-from .levels import Constant, LambdaFunction
+from .levels import LambdaFunction
 
 __all__ = [
     "BaseMeasureFamily",
@@ -72,8 +70,8 @@ class LambdaRiskResult:
     t_lo/t_hi are the inner entropic minimizers at level L(x_star), None for
     the quantile family; attained records whether the sup is a max, which is
     exactly left-continuity of the level function. iterations counts the
-    crossing's piece probes plus its ITP steps (0 for a constant level);
-    achieved_tol is the width of its final bracket, 0 for an exact crossing.
+    crossing's piece probes plus its ITP steps (one probe for a constant
+    level); achieved_tol is the width of its final bracket, 0 when exact.
     """
 
     value: float
@@ -87,7 +85,11 @@ class LambdaRiskResult:
 
 @dataclass(frozen=True, eq=False)
 class BaseMeasureFamily:
-    """An increasing family of fixed-level measures alpha -> rho_alpha(dist)."""
+    """An increasing family of fixed-level measures alpha -> rho_alpha(dist).
+
+    A lift reads `level_value` at each level its crossing visits, and
+    `level_interval`, which solves for no value, at the crossing's level.
+    """
 
     kind: str  # "var" | "es" | "evar"
     dist: DiscreteDistribution
@@ -106,21 +108,18 @@ class BaseMeasureFamily:
             return self.dist.expected_shortfall(alpha)
         return evar_value(self.dist, self.p, alpha)
 
-    def level_solution(self, alpha: float) -> EvarSolution | None:
-        """Full inner solution where one exists (None for the quantile family).
+    def level_interval(self, alpha: float) -> tuple[float | None, float | None]:
+        """`evar`'s minimizer interval [t_lo, t_hi] at level alpha (order 1 for es).
 
-        For es the value and the minimizer interval [VaR_alpha, VaR+_alpha]
-        come straight from the CDF, with no inner minimization.
+        Read from the CDF (es) or the support's structure (evar, with `evar`'s
+        default tolerances); (None, None) for var, which has no inner problem.
         """
+        _check_closed_level(alpha)
         if self.kind == "var":
-            return None
-        if self.kind == "evar":
-            return evar(self.dist, self.p, alpha)
-        value = self.dist.expected_shortfall(alpha)  # validates alpha
-        if alpha == 1.0:
-            return EvarSolution(value, value, value, 0, 0.0)  # degenerate at esssup
-        t_lo, t_hi = _quantile_interval(self.dist, alpha)
-        return EvarSolution(value, t_lo, t_hi, 0, 0.0)
+            return None, None
+        p = 1.0 if self.kind == "es" else self.p
+        t_lo, t_hi, _ = _evar_interval(self.dist, p, alpha, 1e-10, 200, None)
+        return t_lo, t_hi
 
 
 def var_family(dist: DiscreteDistribution) -> BaseMeasureFamily:
@@ -227,8 +226,12 @@ def _crossing_bracket(dist: DiscreteDistribution) -> tuple[float, float]:
     return dist.essinf - spread, dist.esssup + spread
 
 
-def _interval(sol: EvarSolution | None) -> tuple[float | None, float | None]:
-    return (None, None) if sol is None else (sol.t_lo, sol.t_hi)
+def _check_family(dist: DiscreteDistribution, family: BaseMeasureFamily) -> None:
+    law = family.dist
+    if law is not dist and not (
+        np.array_equal(law.values, dist.values) and np.array_equal(law.probs, dist.probs)
+    ):
+        raise PreconditionError("the base measure family was built on another law")
 
 
 def _lift(
@@ -237,24 +240,16 @@ def _lift(
     level_fn: LambdaFunction,
     rel_tol: float,
     max_iter: int,
-) -> tuple[LambdaRiskResult, EvarSolution | None, _Crossing]:
-    """The sup-of-min lift, the inner solution at its level, and the crossing record."""
-    _check_solver_inputs(rel_tol, max_iter)
-    if isinstance(level_fn, Constant):
-        # one full inner solve; the curve of a constant level is its one value
-        sol = family.level_solution(level_fn.level)
-        value = family.level_value(level_fn.level) if sol is None else sol.value
-        result = LambdaRiskResult(value, value, *_interval(sol), True, 0, 0.0)
-        return result, sol, _Crossing(value, value, value, 0, lambda level: value)
+) -> tuple[LambdaRiskResult, _Crossing]:
+    """The sup-of-min lift, with the interval at its level, and the crossing record."""
+    _check_family(dist, family)
     cross = solve_level_crossing(
         family.level_value, level_fn, *_crossing_bracket(dist), rel_tol=rel_tol, max_iter=max_iter
     )
-    sol = family.level_solution(level_fn.eval(cross.x))
+    t_lo, t_hi = family.level_interval(level_fn.eval(cross.x))
     attained = level_fn.is_left_continuous
-    result = LambdaRiskResult(
-        cross.x, cross.x, *_interval(sol), attained, cross.iterations, cross.width
-    )
-    return result, sol, cross
+    result = LambdaRiskResult(cross.x, cross.x, t_lo, t_hi, attained, cross.iterations, cross.width)
+    return result, cross
 
 
 def lambda_lift(
@@ -284,6 +279,7 @@ def lambda_lift_inf(
     L. The crossing visited those levels, so this costs its evaluations only.
     After an ITP solve the value is within the bracket width of the sup form.
     """
+    _check_family(dist, family)
     cross = solve_level_crossing(
         family.level_value, level_fn, *_crossing_bracket(dist), rel_tol=rel_tol, max_iter=max_iter
     )
@@ -322,17 +318,17 @@ def extended_ru(
     Needs a right-continuous level function (otherwise the joint min may not be
     attained). It is lambda_lift's evar lift: the outer variable is the
     crossing, the inner one the entropic minimizer interval at its level, and
-    the cost is the crossing's evaluations plus one full inner solve. The
+    the cost is the crossing's evaluations plus that interval. The
     optimality residual is verified against the crossing's curve at the ends
     of its final bracket before returning, levels the crossing visited, so
     the check costs no further inner solve.
     """
     if not level_fn.is_right_continuous:
         raise PreconditionError("joint minimization needs a right-continuous level function")
-    result, sol, cross = _lift(dist, evar_family(dist, p), level_fn, rel_tol, max_iter)
-    x_star = result.x_star
+    result, cross = _lift(dist, evar_family(dist, p), level_fn, rel_tol, max_iter)
+    x_star, t_lo, t_hi = result.x_star, result.t_lo, result.t_hi
     level = level_fn.eval(x_star)
-    t_ref = sol.t_hi if not math.isfinite(sol.t_lo) else 0.5 * (sol.t_lo + sol.t_hi)
+    t_ref = t_hi if not math.isfinite(t_lo) else 0.5 * (t_lo + t_hi)
     inner = dist.esssup if level == 1.0 else evar_objective(dist, p, level, t_ref)
     residual = abs(max(inner, x_star) - x_star)
     # provable slack: the curve C decreases, C(L(lo-)) >= lo and C(L(hi+)) <= hi

@@ -236,6 +236,15 @@ def test_level_where_c_rounds_to_one_takes_the_level_zero_route(p, alpha):
     assert sol.iterations < 400
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_level_where_c_rounds_to_one_is_solved_as_level_zero(p):
+    # there the computed objective is t + ||(X - t)_+||_p, whose infimum is the
+    # mean as t -> -inf; golden section used to stop below it (0.99999997 at
+    # p = 1.5, after some 300 iterations)
+    assert evar_value(D3, p, 1e-17) == D3.mean == 1.0
+    assert evar(D3, p, 1e-17) == evar(D3, p, 0.0)
+
+
 def test_minimizer_matches_an_independent_reference():
     rng = np.random.default_rng(2024)
     for _ in range(300):

@@ -328,57 +328,64 @@ FORM_LEVELS = {
 
 @pytest.fixture
 def inner_solves(monkeypatch):
-    """count(run) -> (levels passed to evar_value, levels passed to evar) by run()."""
-    log = {"evar_value": [], "evar": []}
-    for name, calls in log.items():
-        solve = getattr(lifting, name)
+    """count(run) -> (levels passed to lifting.evar_value, levels of every value solve) by run().
 
-        def counted(dist, p, alpha, *args, _solve=solve, _calls=calls, **kw):
+    Every value solve runs classical._evar_core, whatever the entry point.
+    """
+    log = {"evar_value": [], "_evar_core": []}
+    for module, name in ((lifting, "evar_value"), (classical, "_evar_core")):
+
+        def counted(dist, p, alpha, *args, _solve=getattr(module, name), _calls=log[name], **kw):
             _calls.append(alpha)
             return _solve(dist, p, alpha, *args, **kw)
 
-        monkeypatch.setattr(lifting, name, counted)
+        monkeypatch.setattr(module, name, counted)
 
     def count(run):
         for calls in log.values():
             calls.clear()
         run()
-        return list(log["evar_value"]), list(log["evar"])
+        return list(log["evar_value"]), list(log["_evar_core"])
 
     return count
+
+
+def crossing_levels(L):
+    """The levels, in order, at which a lift's crossing evaluates LAW's EVaR^2 curve."""
+    phi, levels = counting(evar_family(LAW, 2.0).level_value)
+    solve_level_crossing(phi, L, *lifting._crossing_bracket(LAW))
+    return levels
 
 
 @pytest.mark.parametrize("kind", sorted(FORM_LEVELS))
 def test_extended_ru_costs_what_the_lift_costs(inner_solves, kind):
     L = FORM_LEVELS[kind]
-    lift_values, lift_evars = inner_solves(lambda: lambda_lift(LAW, evar_family(LAW, 2.0), L))
-    ru_values, ru_evars = inner_solves(lambda: extended_ru(LAW, 2.0, L))
-    assert len(lift_evars) == len(ru_evars) == 1
-    assert len(set(ru_values)) == len(ru_values)  # no level solved twice
+    visited = crossing_levels(L)
+    assert len(set(visited)) == len(visited)
+    # one value solve per level the crossing visited; the interval at the
+    # crossing's level and the residual check solve for no value
+    assert inner_solves(lambda: lambda_lift(LAW, evar_family(LAW, 2.0), L)) == (visited, visited)
+    assert inner_solves(lambda: extended_ru(LAW, 2.0, L)) == (visited, visited)
     res = lambda_lift(LAW, evar_family(LAW, 2.0), L)
-    # the residual check reads the curve at the ends of the final bracket,
-    # levels the crossing visited, so it costs no solve of its own
-    assert ru_values == lift_values
     assert (res.achieved_tol > 0.0) == (kind == "pl_slope")  # ITP, otherwise exact
 
 
 def test_constant_extended_ru_is_one_inner_solve(inner_solves):
     L = Constant(0.6)
-    assert inner_solves(lambda: extended_ru(LAW, 2.0, L)) == ([], [0.6])
+    assert inner_solves(lambda: extended_ru(LAW, 2.0, L)) == ([0.6], [0.6])
     ru = extended_ru(LAW, 2.0, L)
     lift = lambda_lift(LAW, evar_family(LAW, 2.0), L)
     assert ru == lift
-    assert (ru.iterations, ru.achieved_tol) == (lift.iterations, lift.achieved_tol) == (0, 0.0)
+    # a constant level is one piece, which the crossing solves with one probe
+    assert (ru.iterations, ru.achieved_tol) == (lift.iterations, lift.achieved_tol) == (1, 0.0)
 
 
 @pytest.mark.parametrize("kind", sorted(FORM_LEVELS))
 def test_inf_form_reads_only_its_crossing(inner_solves, kind):
     L = FORM_LEVELS[kind]
     fam = evar_family(LAW, 2.0)
-    lo, hi = lifting._crossing_bracket(LAW)  # the bracket whose width sets ITP's stop
-    crossing_values, _ = inner_solves(lambda: solve_level_crossing(fam.level_value, L, lo, hi))
-    inf_values, inf_evars = inner_solves(lambda: lambda_lift_inf(LAW, fam, L))
-    assert inf_values == crossing_values and inf_evars == []
+    visited = crossing_levels(L)
+    assert inner_solves(lambda: lambda_lift_inf(LAW, fam, L)) == (visited, visited)
     lift = lambda_lift(LAW, fam, L)
     # exact crossings agree bit for bit, an ITP crossing within its final bracket
     assert abs(lambda_lift_inf(LAW, fam, L) - lift.value) <= lift.achieved_tol
@@ -388,5 +395,5 @@ def test_inf_form_reads_only_its_crossing(inner_solves, kind):
 # two crossings visit is solved once: 2, 1 and 17 levels on these inputs
 @pytest.mark.parametrize("kind,solves", [("step", 2), ("constant", 1), ("pl_slope", 17)])
 def test_wasserstein_solves_each_visited_level_once(inner_solves, kind, solves):
-    values, evars = inner_solves(lambda: worst_case_wasserstein(LAW, 2.0, FORM_LEVELS[kind], 0.3))
-    assert len(values) == len(set(values)) == solves and evars == []
+    values, cores = inner_solves(lambda: worst_case_wasserstein(LAW, 2.0, FORM_LEVELS[kind], 0.3))
+    assert len(values) == len(set(values)) == solves and cores == values

@@ -24,13 +24,13 @@ from lambdarisk import (
     lambda_evar_dual_oracle,
     lambda_lift,
     lambda_lift_inf,
-    lifting,
     make_distribution,
     point_mass,
     sandwich_check,
     solve_level_crossing,
     var_family,
 )
+from lambdarisk import classical, verify
 
 U4 = make_distribution([1.0, 2.0, 3.0, 4.0])
 STEP36 = Step([3.6], [0.75, 0.25], "right")
@@ -91,15 +91,36 @@ def test_es_lift_reads_its_interval_from_the_cdf(monkeypatch):
     ]
     # the reference interval comes from the general solver at order 1
     want = [(evar(d, 1.0, alpha).t_lo, evar(d, 1.0, alpha).t_hi) for d, alpha in cases]
-    monkeypatch.setattr(lifting, "evar", no_solver)
+    monkeypatch.setattr(classical, "_evar_core", no_solver)
     for (d, alpha), interval in zip(cases, want):
-        sol = es_family(d).level_solution(alpha)
-        assert (sol.t_lo, sol.t_hi) == interval
-        assert sol.value == d.expected_shortfall(alpha)
+        assert es_family(d).level_interval(alpha) == interval
     assert lambda_lift(U4, es_family(U4), STEP36).value == 3.6
     for L in (Constant(0.6), PiecewiseLinear([0.0, 5.0], [0.9, 0.1])):
         res = lambda_lift(U4, es_family(U4), L)
         assert res.t_lo <= res.t_hi
+
+
+def test_lift_interval_is_evar_interval_at_the_crossing_level():
+    # evar, which solves for the value too, is the reference, bit for bit
+    rng = random.Random("lift-interval")
+    for _ in range(300):
+        d = verify._rand_dist(rng, 20)
+        fam = rng.choice([es_family(d), evar_family(d, rng.choice([1.5, 2.0, 3.0]))])
+        L = verify._rand_level_fn(rng)
+        res = lambda_lift(d, fam, L)
+        ref = evar(d, fam.p, L.eval(res.x_star))
+        assert (res.t_lo, res.t_hi) == (ref.t_lo, ref.t_hi)
+
+
+def test_lift_rejects_a_family_built_on_another_law():
+    others = [make_distribution([0.0, 1.0, 2.0]), make_distribution(U4.values, [1, 2, 3, 4])]
+    for other in others:
+        for lift in (lambda_lift, lambda_lift_inf):
+            with pytest.raises(PreconditionError):
+                lift(U4, es_family(other), STEP36)  # would be the other law's lift
+    twin = make_distribution([4.0, 3.0, 2.0, 1.0])  # a second build of the same atoms
+    assert lambda_lift(U4, es_family(twin), STEP36) == lambda_lift(U4, es_family(U4), STEP36)
+    assert lambda_lift_inf(U4, es_family(twin), STEP36) == 3.6
 
 
 def test_var_lift_fixture():
@@ -112,7 +133,7 @@ def test_constant_level_collapses_exactly():
     for alpha in (0.0, 0.25, 0.6):
         res = lambda_lift(U4, es_family(U4), Constant(alpha))
         assert res.value == U4.expected_shortfall(alpha)
-        assert res.attained is True and res.iterations == 0
+        assert res.attained is True and res.iterations == 1  # one piece, one probe
 
 
 def test_point_mass_lift_is_the_point():

@@ -14,7 +14,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["portfolio-large", "lift-entropic", "cli-cold"])
+@pytest.mark.parametrize("workload", ["portfolio-large", "lift-entropic", "campaign", "cli-cold"])
 def test_benchmark_runs_and_every_request_checks_out(workload):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
@@ -22,7 +22,10 @@ def test_benchmark_runs_and_every_request_checks_out(workload):
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    report = json.loads(proc.stdout.splitlines()[-1])
+    lines = proc.stdout.splitlines()
+    # the result is read from the last line, and nothing else goes to stdout
+    assert len(lines) == 1, proc.stdout[-2000:]
+    report = json.loads(lines[-1])
     assert report["attempted"] > 0
     assert report["failed"] == 0, proc.stderr[-2000:]
     assert report["correct"] is True
