@@ -42,6 +42,10 @@ _INF = float("inf")
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # knife-edge slack on masses: a level against a partial sum, c^p * P_top against 1
 _SLACK = 1e-12
+# the solvers' fixed precision: golden section stops at _REL_TOL * (1 + spread),
+# an interval's ITP at _REL_TOL of its bracket; every loop stops at _MAX_ITER steps
+_REL_TOL = 1e-10
+_MAX_ITER = 200
 
 
 def conjugate_order(p: float) -> float:
@@ -97,63 +101,38 @@ def _slope(c: float, p: float, s1: float, sp: float) -> float:
     return 1.0 - c * s1 * sp ** ((1.0 - p) / p)
 
 
-def evar_value(
-    dist: DiscreteDistribution,
-    p: float,
-    alpha: float,
-    *,
-    rel_tol: float = 1e-10,
-    max_iter: int = 200,
-) -> float:
+def evar_value(dist: DiscreteDistribution, p: float, alpha: float) -> float:
     """The entropic value-at-risk alone, without the minimizer interval.
 
-    The value solve that `evar` runs (golden section polished at every atom;
-    the mean where c = (1-alpha)^{-1/p} rounds to 1), for callers that
-    evaluate the measure at many levels (curve solvers, grid oracles).
+    The value solve that `evar` runs (golden section to _REL_TOL of the
+    spread, polished at every atom; the mean where c = (1-alpha)^{-1/p}
+    rounds to 1), for callers that evaluate the measure at many levels
+    (curve solvers, grid oracles).
     """
     p = _check_order(p)
-    _check_solver_inputs(rel_tol, max_iter)
     _check_closed_level(alpha)
-    return _evar_core(dist, p, alpha, rel_tol, max_iter)[0]
+    return _evar_core(dist, p, alpha)[0]
 
 
-def evar(
-    dist: DiscreteDistribution,
-    p: float,
-    alpha: float,
-    *,
-    rel_tol: float = 1e-10,
-    max_iter: int = 200,
-    interval_tol: float | None = None,
-) -> EvarSolution:
+def evar(dist: DiscreteDistribution, p: float, alpha: float) -> EvarSolution:
     """Entropic value-at-risk of order p at level alpha, with its minimizer interval.
 
     The value is `evar_value`'s. The interval depends on the law, p and alpha
     only, not on the value: the quantile interval at p = 1,
     `_minimizer_interval` at p > 1. At alpha = 0 with p > 1, or a level so
-    small that c = (1-alpha)^{-1/p} rounds to 1, the infimum (the mean) is
-    approached only as t -> -inf, so t_lo = -inf and t_hi is where the
-    objective rises past mean + interval_tol (finite and >= 0; None means
-    1e-9 * (1 + |mean|)); interval_tol is used nowhere else.
+    small that c = (1-alpha)^{-1/p} rounds to 1 or lies a few ulps above it,
+    the infimum (about the mean) is approached only as t -> -inf, so
+    t_lo = -inf and t_hi is where the objective rises past the mean by the
+    fixed slack 1e-9 * (1 + |mean|) (`_upper_threshold`).
     """
     p = _check_order(p)
-    _check_solver_inputs(rel_tol, max_iter)
-    if not (interval_tol is None or (_finite_real(interval_tol) and interval_tol >= 0.0)):
-        raise PreconditionError(f"interval_tol must be finite and >= 0, got {interval_tol!r}")
     _check_closed_level(alpha)
-    value, iters, width = _evar_core(dist, p, alpha, rel_tol, max_iter)
-    t_lo, t_hi, steps = _evar_interval(dist, p, alpha, rel_tol, max_iter, interval_tol)
+    value, iters, width = _evar_core(dist, p, alpha)
+    t_lo, t_hi, steps = _evar_interval(dist, p, alpha)
     return EvarSolution(value, t_lo, t_hi, iters + steps, width)
 
 
-def _evar_interval(
-    dist: DiscreteDistribution,
-    p: float,
-    alpha: float,
-    rel_tol: float,
-    max_iter: int,
-    interval_tol: float | None,
-) -> tuple[float, float, int]:
+def _evar_interval(dist: DiscreteDistribution, p: float, alpha: float) -> tuple[float, float, int]:
     """`evar`'s minimizer interval [t_lo, t_hi] and the steps it took, with no value solve."""
     top = dist.esssup
     if alpha == 1.0:
@@ -161,18 +140,14 @@ def _evar_interval(
     if p == 1.0:
         return (*_quantile_interval(dist, alpha), 0)
     c = (1.0 / (1.0 - alpha)) ** (1.0 / p)
-    found = None if c == 1.0 else _minimizer_interval(dist, p, alpha, c, rel_tol, max_iter)
+    found = None if c == 1.0 else _minimizer_interval(dist, p, alpha, c)
     if found is None:
-        mean = dist.mean
-        itol = 1e-9 * (1.0 + abs(mean)) if interval_tol is None else interval_tol
-        t_hi, steps = _upper_threshold(dist, p, c, mean + itol, rel_tol, max_iter)
+        t_hi, steps = _upper_threshold(dist, p, c)
         found = (-_INF, t_hi, steps)
     return found
 
 
-def _evar_core(
-    dist: DiscreteDistribution, p: float, alpha: float, rel_tol: float, max_iter: int
-) -> tuple[float, int, float]:
+def _evar_core(dist: DiscreteDistribution, p: float, alpha: float) -> tuple[float, int, float]:
     """Golden-section minimum, leftward bracket doubling, atom polish: value, steps, width."""
     if alpha == 1.0:
         return dist.esssup, 0, 0.0
@@ -192,15 +167,14 @@ def _evar_core(
     while _objective_slope(dist, p, c, a) > 0.0 and doublings < 60:
         a = b - 2.0 * (b - a)
         doublings += 1
-    tol_w = rel_tol * (1.0 + span)
-    f_best, iters, width = _golden_min(objective, a, b, tol_w, max_iter)
+    f_best, iters, width = _golden_min(objective, a, b, _REL_TOL * (1.0 + span))
     for t in map(float, dist.values):
         f_best = min(f_best, objective(t))
     return f_best, iters + doublings, width
 
 
 def _golden_min(
-    f: Callable[[float], float], a: float, b: float, tol: float, max_iter: int
+    f: Callable[[float], float], a: float, b: float, tol: float
 ) -> tuple[float, int, float]:
     """Least value seen by golden section on [a, b], its steps and final width."""
     c = b - _INV_PHI * (b - a)
@@ -208,7 +182,7 @@ def _golden_min(
     fc, fd = f(c), f(d)
     best = fc if fc <= fd else fd
     iters = 0
-    while b - a > tol and iters < max_iter:
+    while b - a > tol and iters < _MAX_ITER:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
@@ -240,7 +214,7 @@ def _quantile_interval(dist: DiscreteDistribution, alpha: float) -> tuple[float,
 
 
 def _minimizer_interval(
-    dist: DiscreteDistribution, p: float, alpha: float, c: float, rel_tol: float, max_iter: int
+    dist: DiscreteDistribution, p: float, alpha: float, c: float
 ) -> tuple[float, float, int] | None:
     """Exact minimizer interval of the p > 1 objective at c > 1, and its probes plus ITP steps.
 
@@ -251,7 +225,7 @@ def _minimizer_interval(
     convex below, and a binary search finds the last atom where the slope,
     read from the tail above it, is negative; the minimizer is the slope's
     root on the next segment: mu_S - sqrt(V_S / (c^2 P_S - 1)) from the
-    tail's mass, mean and variance at p = 2, the final ITP bracket (rel_tol
+    tail's mass, mean and variance at p = 2, the final ITP bracket (_REL_TOL
     of the segment) at other p. None if the slope far below essinf does not
     read negative (c within a few ulps of 1).
     """
@@ -307,26 +281,41 @@ def _minimizer_interval(
         if f_hi is None:
             f_hi = slope(b, hi + 1)
             probes += 1
-        tol = rel_tol * (b - a) or math.ulp(b - a)
-        tau_lo, tau_hi, steps = _itp(lambda tau: slope(tau, hi), a, b, f_lo, f_hi, tol, max_iter)
+        tol = _REL_TOL * (b - a) or math.ulp(b - a)
+        tau_lo, tau_hi, steps = _itp(lambda tau: slope(tau, hi), a, b, f_lo, f_hi, tol)
         probes += steps
     return top + spread * tau_lo, top + spread * tau_hi, probes
 
 
-def _upper_threshold(
-    dist: DiscreteDistribution, p: float, c: float, thr: float, rel_tol: float, max_iter: int
-) -> tuple[float, int]:
-    """sup{t : objective(t) <= thr} right of the minimum, and the work it took.
+def _upper_threshold(dist: DiscreteDistribution, p: float, c: float) -> tuple[float, int]:
+    """sup{t : objective(t) <= mean + s}, s = 1e-9 * (1 + |mean|), and the work it took.
 
-    The objective is t above esssup. Below it, doubling steps under essinf
-    find a start and one ITP solve up to esssup ends at rel_tol of the spread,
-    returning the final bracket's left end (objective still <= thr).
+    Used where c is 1 or within a few ulps of it, so the objective comes
+    within s of the mean only far below essinf, where one ulp of t exceeds s
+    and t + c ||X - t||_p - mean cancels. More than a spread below essinf the
+    excess over the mean is evaluated without cancellation instead: with
+    d = mean - t and u = (X - mean) / d in (-1/2, 1), it is
+    d * expm1(log1p(E[expm1(p log1p(u))]) / p) + (c - 1) ||X - t||_p.
+    The objective is t above esssup. Doubling steps under essinf find a
+    start and one ITP solve up to esssup ends at _REL_TOL of the spread,
+    returning the final bracket's left end (objective still <= mean + s).
     """
-    top, bottom = dist.esssup, dist.essinf
+    top, bottom, mean = dist.esssup, dist.essinf, dist.mean
+    slack = 1e-9 * (1.0 + abs(mean))
+    thr = mean + slack
     if thr >= top:
         return thr, 0
-    g = lambda t: _objective_value(dist, p, c, t) - thr
-    a, step, doublings = bottom, top - bottom, 0
+    spread = top - bottom
+
+    def g(t: float) -> float:
+        if not t < bottom - spread:
+            return _objective_value(dist, p, c, t) - thr
+        d = mean - t
+        u = (dist.values - mean) / d
+        excess = d * math.expm1(math.log1p(float(dist.probs @ np.expm1(p * np.log1p(u)))) / p)
+        return excess + (c - 1.0) * (d + excess) - slack
+
+    a, step, doublings = bottom, spread, 0
     ga = g(a)
     while ga > 0.0 and doublings < 60:
         a -= step
@@ -335,27 +324,26 @@ def _upper_threshold(
         ga = g(a)
     if ga > 0.0:
         return a, doublings  # the objective never came under thr this far out
-    tol = rel_tol * (top - bottom) or math.ulp(top - bottom)
-    t_hi, _, steps = _itp(g, a, top, ga, top - thr, tol, max_iter)
+    t_hi, _, steps = _itp(g, a, top, ga, top - thr, _REL_TOL * spread or math.ulp(spread))
     return t_hi, doublings + steps
 
 
 def _itp(
-    f: Callable[[float], float], a: float, b: float, fa: float, fb: float, tol: float, max_iter: int
+    f: Callable[[float], float], a: float, b: float, fa: float, fb: float, tol: float
 ) -> tuple[float, float, int]:
     """Root of an increasing f on [a, b] with fa < 0 < fb, to bracket width tol.
 
     ITP (interpolate, truncate, project; Oliveira & Takahashi 2020) with
     kappa1 = 0.2 / (b - a), kappa2 = 2 and n0 = 1: at most
     ceil(log2((b - a) / tol)) + 1 steps, superlinear on smooth f. Returns the
-    final bracket and the step count; the bracket is one point where f
-    vanishes exactly.
+    final bracket and the step count (at most _MAX_ITER); the bracket is one
+    point where f vanishes exactly.
     """
     eps = 0.5 * tol
     width0 = b - a
     n_max = max(0, math.ceil(math.log2(width0 / tol))) + 1
     steps = 0
-    while b - a > tol and steps < max_iter:
+    while b - a > tol and steps < _MAX_ITER:
         half = 0.5 * (a + b)
         if not a < half < b:  # no float left strictly inside
             break
@@ -474,23 +462,11 @@ def evar_dual_oracle(
     return best
 
 
-def _finite_real(x) -> bool:
-    """A finite real number of any kind (numpy scalars included), never a bool."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
-
-
 def _check_order(p: float) -> float:
-    """The one order check: a finite real >= 1, returned as a Python float."""
-    if not (_finite_real(p) and p >= 1.0):
+    """The one order check: a finite real >= 1 of any kind (numpy scalars
+    included, never a bool), returned as a Python float."""
+    real = isinstance(p, numbers.Real) and not isinstance(p, bool)
+    if not (real and math.isfinite(p) and p >= 1.0):
         raise PreconditionError(f"order p must be a finite number >= 1, got {p!r}")
     return float(p)
 
-
-def _check_solver_inputs(rel_tol: float, max_iter: int) -> None:
-    """A relative tolerance must be finite and > 0, an iteration cap an integer >= 1."""
-    if not (_finite_real(rel_tol) and rel_tol > 0.0):
-        raise PreconditionError(f"rel_tol must be a finite number > 0, got {rel_tol!r}")
-    if not (
-        isinstance(max_iter, numbers.Integral) and not isinstance(max_iter, bool) and max_iter >= 1
-    ):
-        raise PreconditionError(f"max_iter must be an integer >= 1, got {max_iter!r}")

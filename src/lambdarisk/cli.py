@@ -192,14 +192,7 @@ def _atoms(dist: DiscreteDistribution) -> list[list[float]]:
 
 def _cmd_evar(args) -> int:
     dist = parse_scenarios(args.file, normalize=args.normalize)
-    sol = evar(
-        dist,
-        args.p,
-        args.alpha,
-        rel_tol=args.rel_tol,
-        max_iter=args.max_iter,
-        interval_tol=args.interval_tol,
-    )
+    sol = evar(dist, args.p, args.alpha)
     inputs = {
         "command": "evar",
         "p": args.p,
@@ -229,7 +222,7 @@ def _cmd_lambda(args) -> int:
         family, p_out = es_family(dist), 1.0
     else:
         family, p_out = evar_family(dist, args.p), args.p
-    res = lambda_lift(dist, family, level_fn, rel_tol=args.rel_tol, max_iter=args.max_iter)
+    res = lambda_lift(dist, family, level_fn)
     inputs = {
         "command": "lambda",
         "measure": args.measure,
@@ -255,7 +248,7 @@ def _cmd_lambda(args) -> int:
 def _cmd_ru(args) -> int:
     dist = parse_scenarios(args.file, normalize=args.normalize)
     level_fn = parse_lambda_spec(args.lambda_spec)
-    res = extended_ru(dist, args.p, level_fn, rel_tol=args.rel_tol, max_iter=args.max_iter)
+    res = extended_ru(dist, args.p, level_fn)
     inputs = {
         "command": "ru",
         "p": args.p,
@@ -279,9 +272,7 @@ def _cmd_ru(args) -> int:
 def _cmd_robust_wasserstein(args) -> int:
     dist = parse_scenarios(args.file, normalize=args.normalize)
     level_fn = parse_lambda_spec(args.lambda_spec)
-    res = worst_case_wasserstein(
-        dist, args.p, level_fn, args.delta, rel_tol=args.rel_tol, max_iter=args.max_iter
-    )
+    res = worst_case_wasserstein(dist, args.p, level_fn, args.delta)
     inputs = {
         "command": "robust wasserstein",
         "p": args.p,
@@ -308,9 +299,7 @@ def _cmd_robust_wasserstein(args) -> int:
 
 def _cmd_robust_meanvar(args) -> int:
     level_fn = parse_lambda_spec(args.lambda_spec)
-    res = worst_case_mean_variance(
-        MomentSet(args.mean, args.std), level_fn, rel_tol=args.rel_tol, max_iter=args.max_iter
-    )
+    res = worst_case_mean_variance(MomentSet(args.mean, args.std), level_fn)
     p_out = {"var": None, "es": 1.0, "evar2": 2.0}[args.measure]
     inputs = {
         "command": "robust meanvar",
@@ -368,11 +357,6 @@ def _cmd_check(args) -> int:
 # --------------------------------------------------------------------------
 # wiring
 
-def _add_solver_flags(sp, *, rel_tol: float) -> None:
-    sp.add_argument("--rel-tol", type=float, default=rel_tol, help="solver relative tolerance")
-    sp.add_argument("--max-iter", type=int, default=200, help="solver iteration cap")
-
-
 def _add_io_flags(sp) -> None:
     sp.add_argument("--normalize", action="store_true", help="rescale probabilities to sum 1")
     sp.add_argument("--expect", metavar="REPORT", help="stored report whose value must reproduce")
@@ -388,11 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("evar", help="classical entropic value-at-risk")
     sp.add_argument("--p", type=float, required=True, help="norm order >= 1")
     sp.add_argument("--alpha", type=float, required=True, help="confidence level in [0, 1]")
-    sp.add_argument("--interval-tol", type=float, default=None,
-                    help="alpha = 0 only: objective slack above the mean that "
-                         "places the right end of the reported interval")
     sp.add_argument("file", help="scenario CSV")
-    _add_solver_flags(sp, rel_tol=1e-10)
     _add_io_flags(sp)
     sp.set_defaults(handler=_cmd_evar)
 
@@ -402,7 +382,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lambda", dest="lambda_spec", required=True, metavar="SPEC",
                     help="level-function JSON spec")
     sp.add_argument("file", help="scenario CSV")
-    _add_solver_flags(sp, rel_tol=1e-12)
     _add_io_flags(sp)
     sp.set_defaults(handler=_cmd_lambda)
 
@@ -410,7 +389,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--lambda", dest="lambda_spec", required=True, metavar="SPEC")
     sp.add_argument("file", help="scenario CSV")
-    _add_solver_flags(sp, rel_tol=1e-12)
     _add_io_flags(sp)
     sp.set_defaults(handler=_cmd_ru)
 
@@ -422,7 +400,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rw.add_argument("--delta", type=float, required=True, help="transport radius >= 0")
     rw.add_argument("--lambda", dest="lambda_spec", required=True, metavar="SPEC")
     rw.add_argument("file", help="scenario CSV")
-    _add_solver_flags(rw, rel_tol=1e-12)
     _add_io_flags(rw)
     rw.set_defaults(handler=_cmd_robust_wasserstein)
 
@@ -436,7 +413,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="report label only: the three families share one envelope",
     )
     rm.add_argument("--lambda", dest="lambda_spec", required=True, metavar="SPEC")
-    _add_solver_flags(rm, rel_tol=1e-12)
     rm.add_argument("--expect", metavar="REPORT", help="stored report whose value must reproduce")
     rm.set_defaults(handler=_cmd_robust_meanvar)
 

@@ -63,6 +63,16 @@ class DiscreteDistribution:
         total = float(probs.sum())
         if abs(total - 1.0) > 1e-12:
             raise PreconditionError(f"atom probabilities sum to {total!r}, not 1")
+        self._set(values, probs)
+
+    @classmethod
+    def _trusted(cls, values: np.ndarray, probs: np.ndarray) -> "DiscreteDistribution":
+        """Adopt arrays the caller owns and has already sorted, merged and checked."""
+        dist = object.__new__(cls)
+        dist._set(values, probs)
+        return dist
+
+    def _set(self, values: np.ndarray, probs: np.ndarray) -> None:
         object.__setattr__(self, "values", _readonly(values))
         object.__setattr__(self, "probs", _readonly(probs))
         object.__setattr__(self, "_cum", _readonly(np.cumsum(probs)))
@@ -206,7 +216,11 @@ def make_distribution(
     if not starts.all():
         first = np.flatnonzero(starts)
         vals, pr = vals[first], np.add.reduceat(pr, first)
-    return DiscreteDistribution(vals, pr)
+    if not pr.all():
+        raise PreconditionError("atom probabilities underflow to 0 when normalized")
+    # vals and pr are new arrays: sorted, strictly increasing, finite, and
+    # positive masses summing to one up to rounding
+    return DiscreteDistribution._trusted(vals, pr)
 
 
 def _float_array(xs: Iterable[float]) -> np.ndarray:

@@ -31,7 +31,6 @@ import numpy as np
 
 from .classical import (
     _check_order,
-    _check_solver_inputs,
     _entropy_of_blocks,
     _evar_interval,
     _itp,
@@ -60,6 +59,8 @@ __all__ = [
 ]
 
 _INF = float("inf")
+# an ITP crossing stops at _CROSS_TOL of the crossing bracket's width
+_CROSS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -111,14 +112,14 @@ class BaseMeasureFamily:
     def level_interval(self, alpha: float) -> tuple[float | None, float | None]:
         """`evar`'s minimizer interval [t_lo, t_hi] at level alpha (order 1 for es).
 
-        Read from the CDF (es) or the support's structure (evar, with `evar`'s
-        default tolerances); (None, None) for var, which has no inner problem.
+        Read from the CDF (es) or the support's structure (evar); (None, None)
+        for var, which has no inner problem.
         """
         _check_closed_level(alpha)
         if self.kind == "var":
             return None, None
         p = 1.0 if self.kind == "es" else self.p
-        t_lo, t_hi, _ = _evar_interval(self.dist, p, alpha, 1e-10, 200, None)
+        t_lo, t_hi, _ = _evar_interval(self.dist, p, alpha)
         return t_lo, t_hi
 
 
@@ -147,13 +148,7 @@ class _Crossing(NamedTuple):
 
 
 def solve_level_crossing(
-    phi: Callable[[float], float],
-    level_fn: LambdaFunction,
-    lo: float,
-    hi: float,
-    *,
-    rel_tol: float = 1e-12,
-    max_iter: int = 200,
+    phi: Callable[[float], float], level_fn: LambdaFunction, lo: float, hi: float
 ) -> _Crossing:
     """Crossing of the decreasing curve x -> phi(L(x)) with the identity.
 
@@ -170,16 +165,16 @@ def solve_level_crossing(
       at the breakpoint between them, and the crossing is that breakpoint.
     * Sloped piece whose ends straddle the identity: ITP (interpolate,
       truncate, project; Oliveira & Takahashi 2020) shrinks the bracket to
-      rel_tol * (hi - lo). ITP never needs more steps than bisection plus
+      _CROSS_TOL * (hi - lo). ITP never needs more steps than bisection plus
       one and converges superlinearly on smooth curves.
 
     Only the width of [lo, hi] is used: it is the problem's scale. The record
     keeps the final bracket (lo, hi), one point for an exact crossing; x is
     its midpoint and width its width. iterations counts piece probes plus ITP
-    steps; max_iter caps the ITP steps. curve is the memoized phi: reading
-    it at a level the search visited (a bracket end included) costs nothing.
+    steps (at most classical._MAX_ITER of them). curve is the memoized phi:
+    reading it at a level the search visited (a bracket end included) costs
+    nothing.
     """
-    _check_solver_inputs(rel_tol, max_iter)
     cache: dict[float, float] = {}
 
     def curve(level: float) -> float:
@@ -209,9 +204,9 @@ def solve_level_crossing(
             x = a if va == a else b
             return _Crossing(x, x, x, probes, curve)
         else:
-            tol = rel_tol * abs(hi - lo) or math.ulp(max(abs(a), abs(b)))
+            tol = _CROSS_TOL * abs(hi - lo) or math.ulp(max(abs(a), abs(b)))
             x_lo, x_hi, steps = _itp(
-                lambda x: x - curve(level_fn.eval(x)), a, b, a - va, b - vb, tol, max_iter
+                lambda x: x - curve(level_fn.eval(x)), a, b, a - va, b - vb, tol
             )
             return _Crossing(0.5 * (x_lo + x_hi), x_lo, x_hi, probes + steps, curve)
     # pieces[last] ends above the identity and pieces[first] starts below it
@@ -235,17 +230,11 @@ def _check_family(dist: DiscreteDistribution, family: BaseMeasureFamily) -> None
 
 
 def _lift(
-    dist: DiscreteDistribution,
-    family: BaseMeasureFamily,
-    level_fn: LambdaFunction,
-    rel_tol: float,
-    max_iter: int,
+    dist: DiscreteDistribution, family: BaseMeasureFamily, level_fn: LambdaFunction
 ) -> tuple[LambdaRiskResult, _Crossing]:
     """The sup-of-min lift, with the interval at its level, and the crossing record."""
     _check_family(dist, family)
-    cross = solve_level_crossing(
-        family.level_value, level_fn, *_crossing_bracket(dist), rel_tol=rel_tol, max_iter=max_iter
-    )
+    cross = solve_level_crossing(family.level_value, level_fn, *_crossing_bracket(dist))
     t_lo, t_hi = family.level_interval(level_fn.eval(cross.x))
     attained = level_fn.is_left_continuous
     result = LambdaRiskResult(cross.x, cross.x, t_lo, t_hi, attained, cross.iterations, cross.width)
@@ -253,24 +242,14 @@ def _lift(
 
 
 def lambda_lift(
-    dist: DiscreteDistribution,
-    family: BaseMeasureFamily,
-    level_fn: LambdaFunction,
-    *,
-    rel_tol: float = 1e-12,
-    max_iter: int = 200,
+    dist: DiscreteDistribution, family: BaseMeasureFamily, level_fn: LambdaFunction
 ) -> LambdaRiskResult:
     """sup_x min(rho_{L(x)}(X), x) for an increasing family and decreasing L."""
-    return _lift(dist, family, level_fn, rel_tol, max_iter)[0]
+    return _lift(dist, family, level_fn)[0]
 
 
 def lambda_lift_inf(
-    dist: DiscreteDistribution,
-    family: BaseMeasureFamily,
-    level_fn: LambdaFunction,
-    *,
-    rel_tol: float = 1e-12,
-    max_iter: int = 200,
+    dist: DiscreteDistribution, family: BaseMeasureFamily, level_fn: LambdaFunction
 ) -> float:
     """inf_x max(rho_{L(x)}(X), x); equals the sup form up to solver tolerance.
 
@@ -280,9 +259,7 @@ def lambda_lift_inf(
     After an ITP solve the value is within the bracket width of the sup form.
     """
     _check_family(dist, family)
-    cross = solve_level_crossing(
-        family.level_value, level_fn, *_crossing_bracket(dist), rel_tol=rel_tol, max_iter=max_iter
-    )
+    cross = solve_level_crossing(family.level_value, level_fn, *_crossing_bracket(dist))
     best = _INF
     for x in {cross.lo, cross.hi}:
         for level in {level_fn.left_limit(x), level_fn.right_limit(x)}:
@@ -305,14 +282,7 @@ def sandwich_check(
     return lower <= x + tol and x <= upper + tol
 
 
-def extended_ru(
-    dist: DiscreteDistribution,
-    p: float,
-    level_fn: LambdaFunction,
-    *,
-    rel_tol: float = 1e-12,
-    max_iter: int = 200,
-) -> LambdaRiskResult:
+def extended_ru(dist: DiscreteDistribution, p: float, level_fn: LambdaFunction) -> LambdaRiskResult:
     """Joint minimization  min_{t,x} max(t + (1-L(x))^{-1/p} ||(X-t)_+||_p, x).
 
     Needs a right-continuous level function (otherwise the joint min may not be
@@ -325,7 +295,7 @@ def extended_ru(
     """
     if not level_fn.is_right_continuous:
         raise PreconditionError("joint minimization needs a right-continuous level function")
-    result, cross = _lift(dist, evar_family(dist, p), level_fn, rel_tol, max_iter)
+    result, cross = _lift(dist, evar_family(dist, p), level_fn)
     x_star, t_lo, t_hi = result.x_star, result.t_lo, result.t_hi
     level = level_fn.eval(x_star)
     t_ref = t_hi if not math.isfinite(t_lo) else 0.5 * (t_lo + t_hi)

@@ -46,9 +46,6 @@ def worst_case_wasserstein(
     p: float,
     level_fn: LambdaFunction,
     delta: float,
-    *,
-    rel_tol: float = 1e-12,
-    max_iter: int = 200,
 ) -> RobustResult:
     """sup over laws within Wasserstein-p distance delta of the lifted EVaR^p."""
     p = _check_order(p)
@@ -58,28 +55,18 @@ def worst_case_wasserstein(
     if lmax >= 1.0:
         raise PreconditionError("level function must stay strictly below 1")
     family = evar_family(dist, p)
-    nominal = solve_level_crossing(
-        family.level_value, level_fn, *_crossing_bracket(dist), rel_tol=rel_tol, max_iter=max_iter
-    )
+    nominal = solve_level_crossing(family.level_value, level_fn, *_crossing_bracket(dist))
 
     def phi(alpha: float) -> float:
         return nominal.curve(alpha) + delta * (1.0 - alpha) ** (-1.0 / p)
 
     top = dist.esssup + delta * (1.0 - lmax) ** (-1.0 / p)
     pad = top - dist.essinf
-    cross = solve_level_crossing(
-        phi, level_fn, dist.essinf - pad, top + pad, rel_tol=rel_tol, max_iter=max_iter
-    )
+    cross = solve_level_crossing(phi, level_fn, dist.essinf - pad, top + pad)
     return RobustResult(cross.x, cross.x, nominal.x, cross.x - nominal.x)
 
 
-def worst_case_mean_variance(
-    moments: MomentSet,
-    level_fn: LambdaFunction,
-    *,
-    rel_tol: float = 1e-12,
-    max_iter: int = 200,
-) -> RobustResult:
+def worst_case_mean_variance(moments: MomentSet, level_fn: LambdaFunction) -> RobustResult:
     """Worst case over all laws with mean m and standard deviation <= v.
 
     The quantile, tail-average and order-2 entropic families share the
@@ -94,7 +81,5 @@ def worst_case_mean_variance(
         return m + v * math.sqrt(alpha / (1.0 - alpha))
 
     top = m + v * math.sqrt(lmax / (1.0 - lmax))
-    cross = solve_level_crossing(
-        phi, level_fn, 2.0 * m - top, 2.0 * top - m, rel_tol=rel_tol, max_iter=max_iter
-    )
+    cross = solve_level_crossing(phi, level_fn, 2.0 * m - top, 2.0 * top - m)
     return RobustResult(cross.x, cross.x, m, cross.x - m)

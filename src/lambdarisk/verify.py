@@ -17,8 +17,8 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -56,8 +56,6 @@ class CampaignConfig:
     seed: int = 0
     cases: int = 200
     max_support: int = 20
-    p_grid: tuple[float, ...] = (1.0, 2.0, 3.0)
-    tolerances: Mapping[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -111,6 +109,9 @@ class CampaignReport:
 # --------------------------------------------------------------------------
 # generators
 
+_P_GRID = (1.0, 2.0, 3.0)  # the orders p the cases draw from
+
+
 def _rand_dist(
     rng: random.Random,
     max_support: int,
@@ -162,13 +163,13 @@ def _rand_level_fn(
     )
 
 
-def _rand_family(rng: random.Random, dist: DiscreteDistribution, p_grid):
+def _rand_family(rng: random.Random, dist: DiscreteDistribution):
     kind = rng.choice(["var", "es", "evar"])
     if kind == "var":
         return var_family(dist)
     if kind == "es":
         return es_family(dist)
-    return evar_family(dist, rng.choice(list(p_grid)))
+    return evar_family(dist, rng.choice(_P_GRID))
 
 
 def _rand_table(rng: random.Random, max_support: int) -> ScenarioTable:
@@ -233,7 +234,7 @@ def _case_quantile_es(rng, cfg, tol):
 @_prop("partial_moment_decreasing_convex", 1e-9)
 def _case_partial_moment(rng, cfg, tol):
     d = _rand_dist(rng, cfg.max_support)
-    p = rng.choice(list(cfg.p_grid))
+    p = rng.choice(_P_GRID)
     t0 = rng.uniform(d.essinf - 2.0, d.esssup)
     h = rng.uniform(0.1, 1.0)
     g0, g1, g2 = (d.partial_moment(t0 + i * h, p) for i in range(3))
@@ -333,7 +334,7 @@ def _case_es_reduction(rng, cfg, tol):
 @_prop("evar_level_monotone_bounded", 1e-8)
 def _case_evar_monotone(rng, cfg, tol):
     d = _rand_dist(rng, cfg.max_support)
-    p = rng.choice(list(cfg.p_grid))
+    p = rng.choice(_P_GRID)
     a1, a2 = sorted((rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)))
     v1, v2 = evar_value(d, p, a1), evar_value(d, p, a2)
     worst = max(v1 - v2, d.mean - v1, v2 - d.esssup)
@@ -343,7 +344,7 @@ def _case_evar_monotone(rng, cfg, tol):
 @_prop("evar_cash_additive", 1e-8)
 def _case_evar_cash(rng, cfg, tol):
     d = _rand_dist(rng, cfg.max_support)
-    p = rng.choice(list(cfg.p_grid))
+    p = rng.choice(_P_GRID)
     alpha = rng.uniform(0.0, 0.99)
     c = rng.uniform(-5.0, 5.0)
     lhs = evar_value(d.shift(c), p, alpha)
@@ -355,7 +356,7 @@ def _case_evar_cash(rng, cfg, tol):
 @_prop("evar_positive_homogeneous", 1e-8)
 def _case_evar_homog(rng, cfg, tol):
     d = _rand_dist(rng, cfg.max_support)
-    p = rng.choice(list(cfg.p_grid))
+    p = rng.choice(_P_GRID)
     alpha = rng.uniform(0.0, 0.99)
     s = rng.uniform(0.0, 3.0)
     lhs = evar_value(d.scale(s), p, alpha)
@@ -367,7 +368,7 @@ def _case_evar_homog(rng, cfg, tol):
 @_prop("evar_subadditive", 1e-8)
 def _case_evar_subadd(rng, cfg, tol):
     table = _rand_table(rng, cfg.max_support)
-    p = rng.choice(list(cfg.p_grid))
+    p = rng.choice(_P_GRID)
     alpha = rng.uniform(0.0, 0.99)
     lhs = evar_value(combine(table, {"X": 1.0, "Y": 1.0}), p, alpha)
     rhs = evar_value(table.column("X"), p, alpha) + evar_value(table.column("Y"), p, alpha)
@@ -378,7 +379,7 @@ def _case_evar_subadd(rng, cfg, tol):
 @_prop("evar_objective_convex_above_value", 1e-9)
 def _case_objective_convex(rng, cfg, tol):
     d = _rand_dist(rng, cfg.max_support)
-    p = rng.choice(list(cfg.p_grid))
+    p = rng.choice(_P_GRID)
     alpha = rng.uniform(0.0, 0.99)
     sol = evar(d, p, alpha)
     t0 = rng.uniform(d.essinf - 3.0, d.esssup + 1.0)
@@ -392,7 +393,7 @@ def _case_objective_convex(rng, cfg, tol):
 @_prop("evar_weak_duality", 1e-12)
 def _case_weak_duality(rng, cfg, tol):
     d = _rand_dist(rng, 3, lo=-5.0, hi=5.0)
-    p = rng.choice([x for x in cfg.p_grid if x > 1.0] or [2.0])
+    p = rng.choice(_P_GRID[1:])
     alpha = rng.uniform(0.1, 0.9)
     primal = evar_value(d, p, alpha)
     dual = evar_dual_oracle(d, p, alpha, 240)
@@ -419,7 +420,7 @@ def _case_renyi(rng, cfg, tol):
 @_prop("lift_sup_equals_inf", 1e-12)
 def _case_sup_inf(rng, cfg, tol):
     d = _rand_dist(rng, cfg.max_support)
-    fam = _rand_family(rng, d, cfg.p_grid)
+    fam = _rand_family(rng, d)
     L = _rand_level_fn(rng)
     res = lambda_lift(d, fam, L)
     inf_v = lambda_lift_inf(d, fam, L)
@@ -431,7 +432,7 @@ def _case_sup_inf(rng, cfg, tol):
 @_prop("lift_family_chain", 1e-8)
 def _case_chain(rng, cfg, tol):
     d = _rand_dist(rng, cfg.max_support)
-    p = rng.choice(list(cfg.p_grid))
+    p = rng.choice(_P_GRID)
     L = _rand_level_fn(rng)
     v_var = lambda_lift(d, var_family(d), L).value
     v_es = lambda_lift(d, es_family(d), L).value
@@ -443,7 +444,7 @@ def _case_chain(rng, cfg, tol):
 @_prop("lift_level_monotone", 1e-8)
 def _case_lift_level_monotone(rng, cfg, tol):
     d = _rand_dist(rng, cfg.max_support)
-    fam = _rand_family(rng, d, cfg.p_grid)
+    fam = _rand_family(rng, d)
     L = _rand_level_fn(rng)
     shrink = rng.uniform(0.3, 0.9)
     lower = _scale_levels(L, shrink)
@@ -468,7 +469,7 @@ def _case_lift_pointwise(rng, cfg, tol):
     higher = ScenarioTable(
         table.weights, {"X": table.positions["X"], "Y": table.positions["X"] + bumps}
     )
-    p = rng.choice(list(cfg.p_grid))
+    p = rng.choice(_P_GRID)
     L = _rand_level_fn(rng, kinds=("constant", "step"))
     v_x = lambda_lift(higher.column("X"), evar_family(higher.column("X"), p), L).value
     d_y = higher.column("Y")
@@ -480,7 +481,7 @@ def _case_lift_pointwise(rng, cfg, tol):
 @_prop("lift_cash_subadditive", 1e-8)
 def _case_lift_cash_subadd(rng, cfg, tol):
     d = _rand_dist(rng, cfg.max_support)
-    fam_p = rng.choice(list(cfg.p_grid))
+    fam_p = rng.choice(_P_GRID)
     L = _rand_level_fn(rng)
     c = rng.uniform(0.0, 4.0)
     v = lambda_lift(d, evar_family(d, fam_p), L).value
@@ -494,7 +495,7 @@ def _case_lift_cash_subadd(rng, cfg, tol):
 def _case_lift_quasi_convex(rng, cfg, tol):
     table = _rand_table(rng, cfg.max_support)
     lam = rng.uniform(0.0, 1.0)
-    p = rng.choice(list(cfg.p_grid))
+    p = rng.choice(_P_GRID)
     L = _rand_level_fn(rng, kinds=("constant", "step"))
     mix_d = combine(table, {"X": lam, "Y": 1.0 - lam})
     v_mix = lambda_lift(mix_d, evar_family(mix_d, p), L).value
@@ -512,7 +513,7 @@ def _case_lift_mixture(rng, cfg, tol):
     d1 = _rand_dist(rng, cfg.max_support)
     d2 = _rand_dist(rng, cfg.max_support)
     gam = rng.uniform(0.0, 1.0)
-    p = rng.choice(list(cfg.p_grid))
+    p = rng.choice(_P_GRID)
     L = _rand_level_fn(rng, kinds=("constant", "step"))
     mixture = mix(d1, d2, gam)
     v_mix = lambda_lift(mixture, evar_family(mixture, p), L).value
@@ -528,7 +529,7 @@ def _case_lift_mixture(rng, cfg, tol):
 def _case_lift_icx(rng, cfg, tol):
     d1 = _rand_dist(rng, cfg.max_support)
     d2 = d1.shift(rng.uniform(0.0, 3.0))
-    p = rng.choice(list(cfg.p_grid))
+    p = rng.choice(_P_GRID)
     L = _rand_level_fn(rng, kinds=("constant", "step"))
     if not icx_leq(d1, d2, p + 1.0):
         return False, 1.0, _payload(d1, L, p=p, reason="icx order violated by shift")
@@ -542,7 +543,7 @@ def _case_lift_icx(rng, cfg, tol):
 def _case_lift_point_mass(rng, cfg, tol):
     c = rng.uniform(-8.0, 8.0)
     d = point_mass(c)
-    fam = _rand_family(rng, d, cfg.p_grid)
+    fam = _rand_family(rng, d)
     L = _rand_level_fn(rng)
     v = lambda_lift(d, fam, L).value
     ok, excess = _excess(abs(v - c), tol * (1.0 + abs(c)))
@@ -552,7 +553,7 @@ def _case_lift_point_mass(rng, cfg, tol):
 @_prop("lift_constant_level_collapse", 1e-12)
 def _case_lift_constant(rng, cfg, tol):
     d = _rand_dist(rng, cfg.max_support)
-    fam = _rand_family(rng, d, cfg.p_grid)
+    fam = _rand_family(rng, d)
     alpha = rng.uniform(0.0, 1.0)
     v = lambda_lift(d, fam, Constant(alpha)).value
     ok, excess = _excess(abs(v - fam.level_value(alpha)), tol)
@@ -562,7 +563,7 @@ def _case_lift_constant(rng, cfg, tol):
 @_prop("extended_ru_matches_lift", 1e-9)
 def _case_extended_ru(rng, cfg, tol):
     d = _rand_dist(rng, cfg.max_support)
-    p = rng.choice(list(cfg.p_grid))
+    p = rng.choice(_P_GRID)
     L = _rand_level_fn(rng, kinds=("constant", "step", "pl"))
     if isinstance(L, Step) and L.continuity == "left":
         L = Step(L.thresholds, L.levels, "right")
@@ -577,7 +578,7 @@ def _case_extended_ru(rng, cfg, tol):
 @_prop("sandwich_at_crossing", 1e-7)
 def _case_sandwich(rng, cfg, tol):
     d = _rand_dist(rng, cfg.max_support)
-    p = rng.choice(list(cfg.p_grid))
+    p = rng.choice(_P_GRID)
     L = _rand_level_fn(rng)
     res = lambda_lift(d, evar_family(d, p), L)
     ok = sandwich_check(d, p, L, res.x_star, tol)
@@ -587,7 +588,7 @@ def _case_sandwich(rng, cfg, tol):
 @_prop("homogeneous_three_piece", 1e-8)
 def _case_homogeneous(rng, cfg, tol):
     d = _rand_dist(rng, min(cfg.max_support, 8))
-    p = rng.choice(list(cfg.p_grid))
+    p = rng.choice(_P_GRID)
     a1, a2, a3 = sorted((rng.uniform(0.0, 1.0) for _ in range(3)), reverse=True)
     form = homogeneous_form_value(d, p, a1, a2, a3)
     continuity = rng.choice(["left", "right"])  # knot carries a1 or a3; value is a2-free
@@ -610,7 +611,7 @@ def _witness_level() -> Step:
 
 @_prop("must_fail_cash_additivity", 0.1)
 def _case_must_fail_cash(rng, cfg, margin):
-    p = rng.choice(list(cfg.p_grid))
+    p = rng.choice(_P_GRID)
     d = make_distribution([0.0, 1.0], [0.6, 0.4])
     L = _witness_level()
     v = lambda_lift(d, evar_family(d, p), L).value
@@ -622,7 +623,7 @@ def _case_must_fail_cash(rng, cfg, margin):
 
 @_prop("must_fail_convexity", 0.1)
 def _case_must_fail_convexity(rng, cfg, margin):
-    p = rng.choice(list(cfg.p_grid))
+    p = rng.choice(_P_GRID)
     L = _witness_level()
     x = make_distribution([0.0, 2.0], [0.6, 0.4])
     y = point_mass(0.0)
@@ -638,7 +639,7 @@ def _case_must_fail_convexity(rng, cfg, margin):
 
 @_prop("must_fail_mixture_concavity", 0.1)
 def _case_must_fail_mixture(rng, cfg, margin):
-    p = rng.choice(list(cfg.p_grid))
+    p = rng.choice(_P_GRID)
     L = Step(np.array([0.0]), np.array([0.8, 0.2]), "right")
     x = make_distribution([-20.0, 1.0], [0.2, 0.8])
     y = make_distribution([-20.0, -1.0], [0.8, 0.2])
@@ -657,7 +658,7 @@ def _case_must_fail_mixture(rng, cfg, margin):
 @_prop("robust_delta_zero_identity", 1e-9)
 def _case_robust_zero(rng, cfg, tol):
     d = _rand_dist(rng, cfg.max_support)
-    p = rng.choice(list(cfg.p_grid))
+    p = rng.choice(_P_GRID)
     L = _rand_level_fn(rng, cap=0.95)
     wc = worst_case_wasserstein(d, p, L, 0.0)
     nominal = lambda_lift(d, evar_family(d, p), L).value
@@ -668,7 +669,7 @@ def _case_robust_zero(rng, cfg, tol):
 @_prop("robust_delta_monotone", 1e-9)
 def _case_robust_monotone(rng, cfg, tol):
     d = _rand_dist(rng, min(cfg.max_support, 10))
-    p = rng.choice(list(cfg.p_grid))
+    p = rng.choice(_P_GRID)
     L = _rand_level_fn(rng, cap=0.95, kinds=("constant", "step"))
     d1, d2 = sorted((rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0)))
     w1 = worst_case_wasserstein(d, p, L, d1)
@@ -680,7 +681,7 @@ def _case_robust_monotone(rng, cfg, tol):
 @_prop("robust_constant_closed_forms", 1e-12)
 def _case_robust_constant(rng, cfg, tol):
     d = _rand_dist(rng, cfg.max_support)
-    p = rng.choice(list(cfg.p_grid))
+    p = rng.choice(_P_GRID)
     alpha = rng.uniform(0.0, 0.9)
     delta = rng.uniform(0.0, 2.0)
     wc = worst_case_wasserstein(d, p, Constant(alpha), delta)
@@ -726,7 +727,7 @@ def _case_robust_members(rng, cfg, tol):
 @_prop("robust_wasserstein_dominates_members", 1e-8)
 def _case_robust_wass_members(rng, cfg, tol):
     d = _rand_dist(rng, min(cfg.max_support, 10))
-    p = rng.choice(list(cfg.p_grid))
+    p = rng.choice(_P_GRID)
     L = _rand_level_fn(rng, cap=0.9, kinds=("constant", "step"))
     c = rng.uniform(-1.5, 1.5)
     shifted = d.shift(c)
@@ -744,16 +745,9 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
         raise PreconditionError("campaign needs cases >= 1")
     if config.max_support < 2:
         raise PreconditionError("campaign needs max_support >= 2")
-    if not config.p_grid or any(not p >= 1.0 for p in config.p_grid):
-        raise PreconditionError("p_grid must be non-empty with every order >= 1")
-    known = {name for name, _, _ in _PROPERTIES}
-    unknown = set(config.tolerances) - known
-    if unknown:
-        raise PreconditionError(f"unknown tolerance keys: {sorted(unknown)}")
 
     outcomes = []
-    for name, default_tol, fn in _PROPERTIES:
-        tol = float(config.tolerances.get(name, default_tol))
+    for name, tol, fn in _PROPERTIES:
         rng = random.Random(f"{config.seed}:{name}")
         passes = failures = 0
         worst = 0.0

@@ -304,22 +304,18 @@ def test_bad_orders_are_rejected(p):
             call()
 
 
-@pytest.mark.parametrize("itol", [math.nan, -1.0, math.inf, True])
-def test_interval_tol_is_checked(itol):
-    # at alpha = 0 a nan slack put t_hi at 3.4e-13 (objective 1.378, value 1.1)
-    # and a negative one at -1.35e16 once the doubling loop gave up
-    d = make_distribution([0.0, 1.0, 2.0], [0.3, 0.3, 0.4])
-    with pytest.raises(PreconditionError):
-        evar(d, 2.0, 0.0, interval_tol=itol)
-    with pytest.raises(PreconditionError):
-        evar(d, 2.0, 0.5, interval_tol=itol)
-
-
-def test_interval_tol_keeps_its_meaning_at_level_zero():
-    d = make_distribution([0.0, 1.0, 2.0], [0.3, 0.3, 0.4])
-    sol = evar(d, 2.0, 0.0, interval_tol=1e-3)
-    assert sol.value == pytest.approx(1.1, abs=1e-15) and sol.t_lo == -math.inf
-    assert evar_objective(d, 2.0, 0.0, sol.t_hi) == pytest.approx(1.1 + 1e-3, abs=1e-9)
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("probs", [None, [0.3, 0.3, 0.4]])
+def test_level_zero_t_hi_is_where_the_objective_passes_the_slack(p, probs):
+    # at alpha = 0 the objective is mean + (p-1) var / (2 d) + O(d^-2) at
+    # d = mean - t -> inf, so t_hi sits where that excess reaches the fixed
+    # slack s; one ulp of t there is larger than s, so a plainly evaluated
+    # objective would place t_hi by rounding
+    d = make_distribution([0.0, 1.0, 2.0], probs)
+    s = 1e-9 * (1.0 + abs(d.mean))
+    sol = evar(d, p, 0.0)
+    assert sol.value == d.mean and sol.t_lo == -math.inf
+    assert sol.t_hi == pytest.approx(d.mean - (p - 1.0) * d.variance / (2.0 * s), rel=1e-6)
 
 
 # ---------------------------------------------------------------- Renyi entropy

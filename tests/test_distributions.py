@@ -48,8 +48,11 @@ def test_make_distribution_accepts_any_iterable_and_leaves_input_alone():
         d = make_distribution(v, probs)
         assert d.atoms() == want
         assert not d.values.flags.writeable and not d.probs.flags.writeable
-    assert make_distribution(vals.astype(float)).atoms() == want
+    fvals = vals.astype(float)  # read in place, not converted
+    assert make_distribution(fvals).atoms() == want
     assert vals.tolist() == [3, 1, 2, 1] and probs.tolist() == [1.0] * 4
+    assert fvals.tolist() == [3.0, 1.0, 2.0, 1.0]
+    assert fvals.flags.writeable and probs.flags.writeable
 
 
 def test_make_distribution_equal_weights_default():
@@ -74,6 +77,33 @@ def test_make_distribution_equal_weights_default():
 def test_make_distribution_rejects_bad_input(values, probs):
     with pytest.raises(PreconditionError):
         make_distribution(values, probs)
+
+
+@pytest.mark.parametrize(
+    "values,probs",
+    [
+        ([2.0, 1.0], [0.5, 0.5]),
+        ([1.0, 1.0], [0.5, 0.5]),
+        ([1.0, 2.0], [1.0, 0.0]),
+        ([1.0, 2.0], [1.5, -0.5]),
+        ([1.0, 2.0], [0.5, math.nan]),
+        ([1.0, math.inf], [0.5, 0.5]),
+        ([1.0, 2.0], [0.5, 0.6]),
+    ],
+)
+def test_direct_construction_keeps_every_check(values, probs):
+    with pytest.raises(PreconditionError):
+        DiscreteDistribution(np.array(values), np.array(probs))
+
+
+def test_direct_construction_copies_and_matches_the_build():
+    vals, probs = np.array([1.0, 2.0, 4.0]), np.array([0.25, 0.25, 0.5])
+    d = DiscreteDistribution(vals, probs)
+    assert vals.flags.writeable and not d.values.flags.writeable
+    assert not np.shares_memory(d.values, vals) and not np.shares_memory(d.probs, probs)
+    built = make_distribution([4.0, 1.0, 2.0], [2.0, 1.0, 1.0])
+    for a, b in ((d.values, built.values), (d.probs, built.probs), (d._cum, built._cum)):
+        assert np.array_equal(a, b) and not b.flags.writeable
 
 
 def test_quantiles_on_u4():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from lambdarisk import CampaignConfig, CampaignReport, PreconditionError, run_campaign
+from lambdarisk import CampaignConfig, CampaignReport, PreconditionError, run_campaign, verify
 
 AXIOM_PROPS = (
     "lift_level_monotone",
@@ -86,17 +86,17 @@ def test_config_validation():
         run_campaign(CampaignConfig(cases=0))
     with pytest.raises(PreconditionError):
         run_campaign(CampaignConfig(max_support=1))
-    with pytest.raises(PreconditionError):
-        run_campaign(CampaignConfig(p_grid=(0.5,)))
-    with pytest.raises(PreconditionError):
-        run_campaign(CampaignConfig(tolerances={"no_such_property": 1e-9}))
 
 
-def test_tolerance_override_can_force_failures():
+def test_tolerance_override_can_force_failures(monkeypatch):
     # an impossible tolerance turns an exact identity check into a failure,
     # and the failing payload carries enough to reproduce the case
-    cfg = CampaignConfig(seed=2, cases=4, tolerances={"combine_affine_exact": -1.0})
-    report = run_campaign(cfg)
+    props = [
+        (name, -1.0 if name == "combine_affine_exact" else tol, fn)
+        for name, tol, fn in verify._PROPERTIES
+    ]
+    monkeypatch.setattr(verify, "_PROPERTIES", props)
+    report = run_campaign(CampaignConfig(seed=2, cases=4))
     assert not report.all_passed
     out = report.outcome("combine_affine_exact")
     assert out.failures == 4
