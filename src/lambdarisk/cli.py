@@ -5,8 +5,15 @@ and campaign reports come out. Exit codes: 0 success, 1 usage or parse error,
 2 numeric precondition violation (including a failed --expect regression).
 
 Reports serialize numbers with 17 significant digits; infinities appear as the
-strings "inf" / "-inf" (JSON has no literal for them). Each report carries a
-sha256 digest of its canonicalized inputs so reruns are comparable.
+strings "inf" / "-inf" (JSON has no literal for them). Each report carries an
+`inputs` digest so reruns are comparable: the sha256 of the scalar inputs as
+sorted-key compact JSON (command, p, alpha, delta, measure, mean, std, the
+level-function spec; "atoms" holds the atom count), followed, for a command
+that reads a scenario file, by the law's values and then its probabilities as
+little-endian float64 bytes. The law is the sorted, duplicate-merged,
+normalized one the command computes on, so row order, number formatting and
+split duplicate rows leave the digest unchanged, and moving any atom by one ulp
+changes it.
 """
 
 from __future__ import annotations
@@ -14,9 +21,12 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
+import re
 import sys
+import warnings
 
 import numpy as np
 
@@ -34,42 +44,87 @@ __all__ = ["entry", "main", "parse_lambda_spec", "parse_scenarios"]
 # --------------------------------------------------------------------------
 # input parsing
 
+# a row of only whitespace and commas; its newline stays, so every later row
+# keeps its line number
+_BLANK_ROW = re.compile(r"\n(?:[^\S\n]|,)+(?=\n|\Z)")
+_CONTENT = re.compile(r"[^\s,]")
+
+
 def parse_scenarios(path: str, *, normalize: bool = False) -> DiscreteDistribution:
-    """Read a scenario CSV: header `value` (equal weights) or `value,probability`."""
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and any(cell.strip() for cell in r)]
-    if not rows:
+    """Read a scenario CSV: header `value` (equal weights) or `value,probability`.
+
+    Rows of only whitespace and commas are skipped. The body is read by one
+    numpy pass; an error names the file's own 1-based line.
+    """
+    with open(path) as fh:
+        text = _BLANK_ROW.sub("\n", fh.read())
+    first = _CONTENT.search(text)
+    if first is None:
         raise ValueError(f"{path}: empty scenario file")
-    header = [h.strip().lower() for h in rows[0]]
+    start = text.rfind("\n", 0, first.start()) + 1
+    end = text.find("\n", start)
+    if end < 0:  # the header is the last line
+        end = len(text)
+    header = [h.strip().lower() for h in next(csv.reader([text[start:end]]))]
     if header == ["value"]:
         has_probs = False
     elif header == ["value", "probability"]:
         has_probs = True
     else:
         raise ValueError(f"{path}: header must be 'value' or 'value,probability'")
-    values: list[float] = []
-    probs: list[float] = []
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise ValueError(f"{path}, row {i}: expected {len(header)} fields, got {len(row)}")
-        try:
-            values.append(float(row[0]))
-            if has_probs:
-                probs.append(float(row[1]))
-        except ValueError:
-            raise ValueError(f"{path}, row {i}: malformed number") from None
-    if not values:
+    if _CONTENT.search(text, end) is None:
         raise ValueError(f"{path}: no scenario rows")
+    skip = text.count("\n", 0, end) + 1  # the lines up to and including the header
+    try:
+        table = _read_rows(io.StringIO(text), skip, len(header))
+    except ValueError:
+        lines = io.StringIO(text).readlines()  # the lines the reader saw
+        raise ValueError(_row_error(path, lines, skip, len(header))) from None
+    values = table[:, 0]
+    probs = table[:, 1] if has_probs else None
     if has_probs and not normalize:
-        total = sum(probs)
+        total = sum(probs.tolist())  # left to right, in file order
         if abs(total - 1.0) > 1e-6:
             raise ValueError(
                 f"{path}: probabilities sum to {total:.12g}; pass --normalize to rescale"
             )
     try:
-        return make_distribution(values, probs if has_probs else None)
+        return make_distribution(values, probs)
     except PreconditionError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def _read_rows(source, skip: int, fields: int) -> np.ndarray:
+    """The rows after `skip` lines as an (n, fields) array; blank lines hold no row."""
+    table = np.loadtxt(
+        source, delimiter=",", quotechar='"', comments=None, skiprows=skip, ndmin=2
+    )
+    if len(table) and table.shape[1] != fields:
+        raise ValueError(f"expected {fields} fields, got {table.shape[1]}")
+    return table
+
+
+def _row_error(path: str, lines: list[str], skip: int, fields: int) -> str:
+    """Name the first line after the header that `_read_rows` rejects.
+
+    Runs only once a read has failed: a binary search that reads the lower
+    half of the suspect lines with `_read_rows` itself, so the line named is
+    one the reader rejects, at the cost of about one more read of the body.
+    """
+    good, bad = skip, len(lines)  # lines[skip:good] read cleanly; the fault is in lines[good:bad]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # blank lines alone hold no rows
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            try:
+                _read_rows(lines[good:mid], 0, fields)
+                good = mid
+            except ValueError:
+                bad = mid
+    got = len(next(csv.reader([lines[bad - 1]])))
+    if got != fields:
+        return f"{path}, line {bad}: expected {fields} fields, got {got}"
+    return f"{path}, line {bad}: malformed number"
 
 
 def parse_lambda_spec(path: str) -> LambdaFunction:
@@ -128,9 +183,14 @@ def _render_json(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _digest(inputs: dict) -> str:
+def _digest(inputs: dict, dist: DiscreteDistribution | None) -> str:
+    """The report's `inputs` field, as defined in the module docstring."""
+    law = b""
+    if dist is not None:
+        inputs = dict(inputs, atoms=dist.support_size)
+        law = dist.values.astype("<f8").tobytes() + dist.probs.astype("<f8").tobytes()
     canon = json.dumps(inputs, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
+    return hashlib.sha256(canon.encode() + law).hexdigest()
 
 
 def _report(
@@ -143,6 +203,7 @@ def _report(
     iterations: int | None,
     achieved_tol: float | None,
     inputs: dict,
+    dist: DiscreteDistribution | None,
     **extra,
 ) -> dict:
     report = {
@@ -156,7 +217,7 @@ def _report(
         "achieved_tol": achieved_tol,
     }
     report.update(extra)
-    report["inputs"] = _digest(inputs)
+    report["inputs"] = _digest(inputs, dist)
     return report
 
 
@@ -183,10 +244,6 @@ def _emit(args, report: dict) -> int:
     return 0
 
 
-def _atoms(dist: DiscreteDistribution) -> list[list[float]]:
-    return [[v, pr] for v, pr in dist.atoms()]
-
-
 # --------------------------------------------------------------------------
 # subcommands
 
@@ -197,7 +254,6 @@ def _cmd_evar(args) -> int:
         "command": "evar",
         "p": args.p,
         "alpha": args.alpha,
-        "atoms": _atoms(dist),
     }
     report = _report(
         "evar",
@@ -209,6 +265,7 @@ def _cmd_evar(args) -> int:
         sol.iterations,
         sol.achieved_tol,
         inputs,
+        dist,
     )
     return _emit(args, report)
 
@@ -228,7 +285,6 @@ def _cmd_lambda(args) -> int:
         "measure": args.measure,
         "p": p_out,
         "lambda": level_fn.to_spec(),
-        "atoms": _atoms(dist),
     }
     t_int = None if res.t_lo is None else [res.t_lo, res.t_hi]
     report = _report(
@@ -241,6 +297,7 @@ def _cmd_lambda(args) -> int:
         res.iterations,
         res.achieved_tol,
         inputs,
+        dist,
     )
     return _emit(args, report)
 
@@ -253,7 +310,6 @@ def _cmd_ru(args) -> int:
         "command": "ru",
         "p": args.p,
         "lambda": level_fn.to_spec(),
-        "atoms": _atoms(dist),
     }
     report = _report(
         "lambda_evar_ru",
@@ -265,6 +321,7 @@ def _cmd_ru(args) -> int:
         res.iterations,
         res.achieved_tol,
         inputs,
+        dist,
     )
     return _emit(args, report)
 
@@ -278,7 +335,6 @@ def _cmd_robust_wasserstein(args) -> int:
         "p": args.p,
         "delta": args.delta,
         "lambda": level_fn.to_spec(),
-        "atoms": _atoms(dist),
     }
     # solver diagnostics are not part of the closed-form result: reported null
     report = _report(
@@ -291,6 +347,7 @@ def _cmd_robust_wasserstein(args) -> int:
         None,
         None,
         inputs,
+        dist,
         nominal=res.nominal,
         inflation=res.inflation,
     )
@@ -318,6 +375,7 @@ def _cmd_robust_meanvar(args) -> int:
         None,
         None,
         inputs,
+        None,
         nominal=res.nominal,
         inflation=res.inflation,
     )

@@ -102,7 +102,7 @@ class DiscreteDistribution:
 
     def atoms(self) -> list[tuple[float, float]]:
         """The (value, probability) pairs, sorted by value."""
-        return [(float(v), float(p)) for v, p in zip(self.values, self.probs)]
+        return list(zip(self.values.tolist(), self.probs.tolist()))
 
     def __repr__(self) -> str:  # keeps test failures readable
         inside = ", ".join(f"{v:g}: {p:g}" for v, p in self.atoms())

@@ -1,12 +1,15 @@
 """Command-line surface: parsing, report schema, exit codes, round trips."""
 
 import csv
+import hashlib
 import io
 import json
 import math
 
+import numpy as np
 import pytest
 
+from lambdarisk import make_distribution
 from lambdarisk.cli import main, parse_scenarios
 
 U4_CSV = "value\n1\n2\n3\n4\n"
@@ -54,13 +57,23 @@ def test_parse_scenarios_with_probabilities(tmp_path):
     assert d.atoms() == [(0.0, 0.3), (1.0, 0.7)]
 
 
-def test_parse_scenarios_rejections(tmp_path):
+def test_parse_scenarios_rejections(capsys, tmp_path):
     cases = {
-        "empty.csv": "value\n",
+        "empty.csv": "",
+        "blank.csv": "\n  \n,\n",
+        "header_only.csv": "value\n",
         "header.csv": "loss\n1\n",
         "text.csv": "value\n1\nabc\n",
+        # float() accepts these two, the reader does not
+        "underscore.csv": "value\n1_000\n",
+        "arabic_digits.csv": "value\n\u0661\u0662\n",
+        "nan.csv": "value\n1\nnan\n",
+        "inf.csv": "value\ninf\n1\n",
+        "nan_prob.csv": "value,probability\n0,nan\n1,1\n",
         "negative.csv": "value,probability\n0,-0.5\n1,1.5\n",
         "short_row.csv": "value,probability\n0\n",
+        "long_row.csv": "value\n1,2\n",
+        "ragged.csv": "value,probability\n0,0.5\n1\n",
         "sum.csv": "value,probability\n0,0.3\n1,0.6\n",
     }
     for name, body in cases.items():
@@ -68,6 +81,72 @@ def test_parse_scenarios_rejections(tmp_path):
         f.write_text(body)
         with pytest.raises(ValueError):
             parse_scenarios(str(f))
+        code, _, err = run(capsys, ["evar", "--p", "1", "--alpha", "0.5", str(f)])
+        assert code == 1, name
+        assert str(f) in err
+
+
+def test_parse_scenarios_accepts_blank_rows_and_loose_fields(tmp_path):
+    want = [(1.0, 0.25), (2.5, 0.75)]
+    cases = {
+        "blank.csv": "value,probability\n\n1,0.25\n\n2.5,0.75\n\n",
+        "whitespace.csv": "value,probability\n1,0.25\n   \n\t\n2.5,0.75\n",
+        "commas.csv": "value,probability\n,\n1,0.25\n , \n2.5,0.75\n,,\n",
+        "crlf.csv": "value,probability\r\n1,0.25\r\n\r\n2.5,0.75\r\n",
+        "spaces.csv": "value , probability\n  1 ,0.25\n2.5,  0.75  \n",
+        "quoted.csv": '"value","probability"\n"1","0.25"\n" 2.5",0.75\n',
+        "leading_blank.csv": "\n \n,\nvalue,probability\n1,0.25\n2.5,0.75",
+    }
+    for name, body in cases.items():
+        f = tmp_path / name
+        f.write_bytes(body.encode())
+        assert parse_scenarios(str(f)).atoms() == want, name
+    f = tmp_path / "single_column.csv"
+    f.write_text("value\n1\n ,\n\n2.5\n2.5\n2.5\n")
+    assert parse_scenarios(str(f)).atoms() == want
+
+
+def test_parse_errors_name_the_file_line(capsys, tmp_path):
+    cases = {
+        "value\n1\n\n\n2\nabc\n": "line 6: malformed number",
+        "\n\nvalue\n1\n  \n,\n2\n3,4\n": "line 8: expected 1 fields, got 2",
+        "value,probability\n0,0.5\n\n1\n": "line 4: expected 2 fields, got 1",
+        "value,probability\r\n\r\n0,x\r\n": "line 3: malformed number",
+    }
+    for i, (body, message) in enumerate(cases.items()):
+        f = tmp_path / f"bad{i}.csv"
+        f.write_bytes(body.encode())
+        with pytest.raises(ValueError, match=message):
+            parse_scenarios(str(f))
+        code, _, err = run(capsys, ["evar", "--p", "1", "--alpha", "0.5", str(f)])
+        assert code == 1
+        assert f"{f}, {message}" in err
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_parse_scenarios_matches_float_of_each_field(tmp_path, weighted):
+    rng = np.random.default_rng(11)
+    n = 10_000
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+    values[:100] = rng.integers(1, 2**63, 100).view(float)  # random bit patterns
+    values[100:200] = rng.uniform(1.0, 2.0, 100) * 5e-324 * rng.integers(1, 2**40, 100)
+    values[200:300] = rng.integers(-10**6, 10**6, 100)
+    values[~np.isfinite(values)] = 1.0
+    formats = [repr, "{:.17g}".format, "{:.6e}".format, lambda v: str(int(v))]
+    fields = [formats[3 if i in range(200, 300) else i % 3](v)
+              for i, v in enumerate(values.tolist())]
+    probs = [f"{q:.6e}" for q in rng.uniform(0.1, 1.0, n)]
+    f = tmp_path / "parity.csv"
+    if weighted:
+        f.write_text("value,probability\n" + "".join(
+            f"{v},{q}\n" for v, q in zip(fields, probs)))
+    else:
+        f.write_text("value\n" + "\n".join(fields) + "\n")
+    got = parse_scenarios(str(f), normalize=True)
+    want = make_distribution([float(v) for v in fields],
+                             [float(q) for q in probs] if weighted else None)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.probs.tobytes() == want.probs.tobytes()
 
 
 def test_parse_scenarios_normalize_flag(tmp_path):
@@ -257,3 +336,61 @@ def test_report_numbers_render_17_digits(capsys, tmp_path):
     assert "0.99999999999999989" in out or "1" in out  # mean 1/3 * 3, 17g formatted
     rep = json.loads(out)
     assert rep["value"] == pytest.approx(1.0, abs=1e-12)
+
+
+# ------------------------------------------------------------------ digest
+
+
+def _inputs(capsys, tmp_path, body, argv=("evar", "--p", "2", "--alpha", "0.5")):
+    f = tmp_path / "law.csv"
+    f.write_text(body)
+    return run_json(capsys, [*argv, str(f)])["inputs"]
+
+
+def test_digest_reads_the_law_not_the_rows(capsys, tmp_path):
+    base = _inputs(capsys, tmp_path, "value\n1\n2\n2\n3\n")
+    # permuted, re-formatted, and the duplicate merged into one weighted row
+    assert _inputs(capsys, tmp_path, "value,probability\n3.0,0.25\n2,5e-1\n1e0,0.25\n") == base
+    # a weighted atom split into two rows
+    split = "value,probability\n0,0.5\n1,0.25\n1,0.25\n"
+    assert _inputs(capsys, tmp_path, split) == _inputs(
+        capsys, tmp_path, "value,probability\n1,0.5\n0,0.5\n")
+
+
+def test_digest_changes_with_any_input(capsys, tmp_path, step36):
+    up = math.nextafter(2.0, math.inf)
+    base = _inputs(capsys, tmp_path, "value,probability\n1,0.25\n2,0.75\n")
+    moved = {
+        _inputs(capsys, tmp_path, f"value,probability\n1,0.25\n{up!r},0.75\n"),
+        _inputs(capsys, tmp_path,
+                f"value,probability\n1,{math.nextafter(0.25, 1.0)!r}\n2,0.75\n"),
+        _inputs(capsys, tmp_path, "value,probability\n1,0.25\n2,0.75\n",
+                ("evar", "--p", "3", "--alpha", "0.5")),
+        _inputs(capsys, tmp_path, "value,probability\n1,0.25\n2,0.75\n",
+                ("evar", "--p", "2", "--alpha", "0.6")),
+    }
+    assert base not in moved and len(moved) == 4
+    lift = ("lambda", "--measure", "evar", "--p", "2", "--lambda", step36)
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(dict(STEP36_SPEC, levels=[0.75, 0.5])))
+    lift_other = ("lambda", "--measure", "evar", "--p", "2", "--lambda", str(other))
+    body = "value\n1\n2\n3\n4\n"
+    assert _inputs(capsys, tmp_path, body, lift) != _inputs(capsys, tmp_path, body, lift_other)
+
+
+def test_digest_pinned(capsys, tmp_path, u4):
+    # sha256 of the sorted-key compact JSON of the scalar inputs with the atom
+    # count under "atoms", then the law's values and probabilities as <f8 bytes
+    rep = run_json(capsys, ["evar", "--p", "1", "--alpha", "0.5", u4])
+    assert rep["inputs"] == "1a0e7b138db64cf96ebdb2dd774841786cf1b5b3beb2fb46f2c9669806220d57"
+    canon = b'{"alpha":0.5,"atoms":4,"command":"evar","p":1.0}'
+    law = np.array([1.0, 2.0, 3.0, 4.0, 0.25, 0.25, 0.25, 0.25], "<f8").tobytes()
+    assert rep["inputs"] == hashlib.sha256(canon + law).hexdigest()
+    # a report without a scenario file hashes its scalar inputs alone
+    f = tmp_path / "const05.json"
+    f.write_text(json.dumps({"type": "constant", "level": 0.5}))
+    rep = run_json(
+        capsys,
+        ["robust", "meanvar", "--mean", "0", "--std", "1", "--lambda", str(f), "--measure", "es"],
+    )
+    assert rep["inputs"] == "5ec65a4980c8d4ccff947f5f315f972ff74cded2efb558259ec088908b71c04d"

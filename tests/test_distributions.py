@@ -55,6 +55,17 @@ def test_make_distribution_accepts_any_iterable_and_leaves_input_alone():
     assert fvals.flags.writeable and probs.flags.writeable
 
 
+def test_atoms_match_per_scalar_conversion_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 17, 1_000, 10_000):
+        d = make_distribution(rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300),
+                              rng.uniform(0.1, 1.0, n))
+        want = [(float(v), float(p)) for v, p in zip(d.values, d.probs)]
+        got = d.atoms()
+        assert all(type(v) is float and type(p) is float for v, p in got)
+        assert [(v.hex(), p.hex()) for v, p in got] == [(v.hex(), p.hex()) for v, p in want]
+
+
 def test_make_distribution_equal_weights_default():
     assert U4.atoms() == [(1.0, 0.25), (2.0, 0.25), (3.0, 0.25), (4.0, 0.25)]
     assert U4.mean == 2.5
