@@ -1,10 +1,20 @@
+import json
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lambdarisk import Constant, PiecewiseLinear, PreconditionError, Step, from_spec
+from lambdarisk import (
+    Constant,
+    LambdaFunction,
+    PiecewiseLinear,
+    PreconditionError,
+    Step,
+    from_spec,
+    verify,
+)
 
 STEP_R = Step([1.0], [0.9, 0.3], "right")
 STEP_L = Step([1.0], [0.9, 0.3], "left")
@@ -21,7 +31,7 @@ def test_constant_basics():
     assert c.superlevel_sup(0.6) == -math.inf
 
 
-@pytest.mark.parametrize("level", [-0.1, 1.1, math.nan])
+@pytest.mark.parametrize("level", [-0.1, 1.1, math.nan, True, "0.5", None])
 def test_constant_rejects_bad_level(level):
     with pytest.raises(PreconditionError):
         Constant(level)
@@ -98,11 +108,45 @@ def test_vectorized_agrees_with_scalar(fn):
 
 
 @pytest.mark.parametrize("fn", [Constant(0.4), STEP_R, STEP_L, PL])
+def test_vectorized_forms_check_input_as_scalar_forms(fn):
+    for xs in ([0.0, math.nan], [math.inf], [[1.0], [-math.inf]]):
+        with pytest.raises(PreconditionError):
+            fn.eval_many(np.array(xs))
+    for cs in ([1.5, -0.2], [0.5, math.nan], [[-0.1]]):
+        with pytest.raises(PreconditionError):
+            fn.superlevel_sup_many(np.array(cs))
+
+
+def test_every_family_is_a_lambda_function():
+    for fn in (Constant(0.4), STEP_R, PL):
+        assert isinstance(fn, LambdaFunction)
+    assert Constant(np.float32(0.5)) == Constant(0.5)
+    assert type(Constant(np.float32(0.5)).level) is float
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        Constant(0.4),
+        STEP_R,
+        STEP_L,
+        PL,
+        Constant(1),
+        Constant(np.float32(0.5)),
+        Step(np.array([1.0], np.float32), np.array([0.9, 0.3], np.float32)),
+        PiecewiseLinear(np.arange(3), np.array([0.8, 0.5, 0.2], np.float32)),
+    ],
+)
 def test_spec_round_trip(fn):
-    clone = from_spec(fn.to_spec())
+    clone = from_spec(json.loads(json.dumps(fn.to_spec())))
+    assert type(clone) is type(fn)
+    assert clone.to_spec() == fn.to_spec()
+    assert clone.pieces() == fn.pieces()
     xs = np.linspace(-3.0, 3.0, 101)
     np.testing.assert_array_equal(clone.eval_many(xs), fn.eval_many(xs))
     assert clone.is_left_continuous == fn.is_left_continuous
+    if isinstance(fn, Constant):
+        assert clone == fn
 
 
 def test_from_spec_schemas():
@@ -141,3 +185,102 @@ def test_from_spec_rejects(spec):
 def test_step_is_decreasing(x, dx):
     for fn in (STEP_R, STEP_L, PL):
         assert fn.eval(x) >= fn.eval(x + dx)
+
+
+# --------------------------------------------------------------------------
+# reference: the per-family formulas the shared piece table replaced
+
+
+def _ref_eval_many(L, xs, side=None):
+    xs = np.asarray(xs, dtype=float)
+    if isinstance(L, Constant):
+        return np.full(xs.shape, L.level)
+    if isinstance(L, Step):
+        return L.levels[np.searchsorted(L.thresholds, xs, side=side or L.continuity)]
+    return np.interp(xs, L.xs, L.ls)
+
+
+def _ref_superlevel_sup_many(L, cs):
+    cs = np.asarray(cs, dtype=float)
+    if isinstance(L, Constant):
+        return np.where(cs <= L.level, math.inf, -math.inf)
+    if isinstance(L, Step):
+        below = np.searchsorted(L.levels[::-1], cs, side="left")
+        first = L.levels.size - below  # first index with level < c
+        out = np.take(L.thresholds, np.clip(first - 1, 0, L.thresholds.size - 1))
+        out = np.where(first == 0, -math.inf, out)
+        return np.where(below == 0, math.inf, out)
+    below = np.searchsorted(L.ls[::-1], cs, side="left")
+    last = np.clip(L.ls.size - below - 1, 0, L.ls.size - 2)  # last index with ls >= c
+    x0, l0, l1 = np.take(L.xs, last), np.take(L.ls, last), np.take(L.ls, last + 1)
+    denom = np.where(l0 > l1, l0 - l1, 1.0)
+    crossing = x0 + (l0 - cs) * (np.take(L.xs, last + 1) - x0) / denom
+    out = np.where(cs <= L.ls[-1], math.inf, crossing)
+    return np.where(cs > L.ls[0], -math.inf, out)
+
+
+def _ref_table(L):
+    """(pieces, max_level, left/right continuity, knots) per family."""
+    if isinstance(L, Constant):
+        return ((-math.inf, math.inf, L.level, L.level),), L.level, (True, True), ()
+    if isinstance(L, Step):
+        t, lv = L.thresholds.tolist(), L.levels.tolist()
+        edges = [-math.inf, *t, math.inf]
+        continuity = (L.continuity == "left", L.continuity == "right")
+        return tuple(zip(edges[:-1], edges[1:], lv, lv)), lv[0], continuity, tuple(t)
+    xs, ls = L.xs.tolist(), L.ls.tolist()
+    edges = [-math.inf, *xs, math.inf]
+    pieces = tuple(zip(edges[:-1], edges[1:], [ls[0], *ls], [*ls, ls[-1]]))
+    return pieces, ls[0], (True, True), ()
+
+
+def _ref_spec(L):
+    if isinstance(L, Constant):
+        return {"type": "constant", "level": L.level}
+    if isinstance(L, Step):
+        return {
+            "type": "step",
+            "thresholds": [float(t) for t in L.thresholds],
+            "levels": [float(l) for l in L.levels],
+            "continuity": L.continuity,
+        }
+    points = [[float(x), float(l)] for x, l in zip(L.xs, L.ls)]
+    return {"type": "piecewise_linear", "points": points}
+
+
+def _same(got, want):
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (got, want)
+    else:
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
+
+
+def test_piece_table_matches_per_family_reference_bit_for_bit():
+    rng = random.Random(20261019)
+    kinds = set()
+    for _ in range(400):
+        L = verify._rand_level_fn(rng)
+        kinds.add(type(L))
+        pieces, max_level, continuity, knots = _ref_table(L)
+        assert L.pieces() == pieces
+        _same(L.max_level, max_level)
+        assert (L.is_left_continuous, L.is_right_continuous) == continuity
+        assert L.knots == knots
+        assert L.to_spec() == _ref_spec(L)
+
+        breaks = [b for _, b, _, _ in pieces[:-1]]
+        xs = np.array([rng.uniform(-15.0, 15.0) for _ in range(40)] + breaks)
+        _same(L.eval_many(xs), _ref_eval_many(L, xs))
+        for x in xs.tolist():
+            _same(L.eval(x), float(_ref_eval_many(L, x)))
+            _same(L.left_limit(x), float(_ref_eval_many(L, x, "left")))
+            _same(L.right_limit(x), float(_ref_eval_many(L, x, "right")))
+
+        levels = {v for _, _, la, lb in pieces for v in (la, lb)}
+        cs = np.array(sorted(levels | {0.0, 1.0} | {rng.random() for _ in range(10)}))
+        _same(L.superlevel_sup_many(cs), _ref_superlevel_sup_many(L, cs))
+        for c in cs.tolist():
+            _same(L.superlevel_sup(c), float(_ref_superlevel_sup_many(L, c)))
+    assert kinds == {Constant, Step, PiecewiseLinear}

@@ -29,3 +29,24 @@ def test_benchmark_runs_and_every_request_checks_out(workload):
     assert report["attempted"] > 0
     assert report["failed"] == 0, proc.stderr[-2000:]
     assert report["correct"] is True
+
+
+def test_traced_run_reports_the_levels_layer():
+    # the tracer wraps only methods defined on the classes a layer exports; a
+    # level-function method moved off them would drop the layer without an error
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "lift-entropic",
+         "--seed", "1", "--seconds", "0.5", "--trace", "1", "--tiny"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1, proc.stdout[-2000:]
+    report = json.loads(lines[-1])
+    assert report["failed"] == 0, proc.stderr[-2000:]
+    assert report["metrics"]["levels.calls"]["value"] > 0
+    assert report["metrics"]["levels.self_s"]["value"] > 0
+    # from_spec alone would keep levels.calls above 0: a method must be traced too
+    spans = ROOT / ".perfbench_work" / "spans-lift-entropic-seed1.jsonl"
+    names = {json.loads(line)["name"] for line in spans.read_text().splitlines()}
+    assert {"levels.LambdaFunction.eval", "levels.LambdaFunction.pieces"} <= names, names
