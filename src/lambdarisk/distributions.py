@@ -29,6 +29,14 @@ __all__ = [
 ]
 
 
+# breakpoints per law in one block of wasserstein_distance's merge; set by
+# measurement (scratch memory flat from 1e5 to 1e6 atoms, time unchanged)
+_MERGE_BLOCK = 1 << 15
+
+# a law with more atoms than twice this shows only this many at each end
+_REPR_EDGE_ATOMS = 5
+
+
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -104,9 +112,13 @@ class DiscreteDistribution:
         """The (value, probability) pairs, sorted by value."""
         return list(zip(self.values.tolist(), self.probs.tolist()))
 
-    def __repr__(self) -> str:  # keeps test failures readable
-        inside = ", ".join(f"{v:g}: {p:g}" for v, p in self.atoms())
-        return f"DiscreteDistribution({{{inside}}})"
+    def __repr__(self) -> str:  # keeps test failures readable, at any support size
+        n, edge = self.support_size, _REPR_EDGE_ATOMS
+        if n <= 2 * edge:
+            return f"DiscreteDistribution({{{_format_atoms(self.values, self.probs)}}})"
+        head = _format_atoms(self.values[:edge], self.probs[:edge])
+        tail = _format_atoms(self.values[-edge:], self.probs[-edge:])
+        return f"DiscreteDistribution({{{head}, ..., {tail}}}, {n} atoms)"
 
     # -- quantiles and tail functionals --------------------------------------
 
@@ -223,6 +235,10 @@ def make_distribution(
     return DiscreteDistribution._trusted(vals, pr)
 
 
+def _format_atoms(values: np.ndarray, probs: np.ndarray) -> str:
+    return ", ".join(f"{v:g}: {p:g}" for v, p in zip(values.tolist(), probs.tolist()))
+
+
 def _float_array(xs: Iterable[float]) -> np.ndarray:
     # an ndarray is converted without a copy where its dtype allows; any other
     # iterable (generators included) is materialized first
@@ -256,41 +272,78 @@ def wasserstein_distance(
     """Order-k Wasserstein distance, exact via the merged quantile partition.
 
     W_k(X, Y)^k = integral_0^1 |VaR_s(X) - VaR_s(Y)|^k ds; both quantile
-    functions are piecewise constant on the union of CDF breakpoints.
+    functions are piecewise constant on the union of CDF breakpoints, the two
+    runs of cumulative masses c1 and c2. Each merged breakpoint ends a segment
+    of [0, 1]. On it, each law's quantile is its atom whose index counts that
+    law's breakpoints merged before this one. The merge puts d1's breakpoint
+    first on a tie, so a count can exceed the searchsorted index only where a
+    segment has zero length and adds nothing.
 
-    The two runs of cumulative masses are merged in one linear pass (a stable
-    argsort of their concatenation, which timsort does as a single merge).
-    Each merged breakpoint ends a segment of [0, 1]. On it, each law's
-    quantile is its atom whose index counts that law's breakpoints merged
-    before this one, a running count of which run each breakpoint came from.
-    The stable merge puts d1's breakpoint first on a tie, so a count can
-    exceed the searchsorted index only where a segment has zero length and
-    adds nothing. The integrand is scaled by its maximum so that |x - y|^k
-    cannot overflow.
+    The merge runs in blocks of at most B = _MERGE_BLOCK breakpoints per law,
+    so the time is O(n1 + n2) and the scratch memory O(B) whatever the support
+    sizes. A block cuts the remaining merge at t = min(c1[i0 + B - 1],
+    c2[j0 + B - 1]), where i0 and j0 count the breakpoints already merged and
+    a law with at most B breakpoints left reads as +inf, so laws of at most B
+    atoms each make one block. It takes d1's breakpoints <= t (at most B of
+    them: a run of tied masses can be longer) and d2's breakpoints < t, which
+    keeps d1 first on every tie, the cut's included. If no d1 breakpoint is
+    <= t, it takes d2's breakpoints <= t instead, again at most B, so no
+    block is empty.
+    Inside a block the merge is a stable argsort of the block's masses (one
+    timsort merge); the block carries forward the offsets (i0, j0) and the
+    breakpoint that ended the block before it.
+
+    The integrand is scaled by the running maximum of |x - y| so that
+    |x - y|^k cannot overflow; when a block raises the maximum, the sum so
+    far is multiplied by (old / new)^k.
     """
-    if not k >= 1.0:
-        raise PreconditionError("Wasserstein order must be >= 1")
-    cum = np.concatenate((d1._cum, d2._cum))
-    order = np.argsort(cum, kind="stable")
-    ends = cum[order]
-    lengths = cum  # the segment lengths overwrite the concatenation
-    lengths[0] = ends[0]
-    np.subtract(ends[1:], ends[:-1], out=lengths[1:])
-    from_d1 = order < d1.support_size
-    count = order  # d1's breakpoints strictly before each merged one
-    np.cumsum(from_d1, out=count)
-    count -= from_d1
-    gap = np.take(d1.values, count, mode="clip", out=ends)
-    np.subtract(np.arange(count.size), count, out=count)  # now d2's
-    gap -= np.take(d2.values, count, mode="clip")
-    np.abs(gap, out=gap)
-    top = float(gap.max())
-    if top == 0.0 or top == math.inf:
-        return top  # equal quantile functions, or a gap beyond the float range
-    gap /= top
-    np.power(gap, k, out=gap)
-    gap *= lengths
-    return top * float(gap.sum()) ** (1.0 / k)
+    if not 1.0 <= k < math.inf:
+        raise PreconditionError("Wasserstein order must be finite and >= 1")
+    c1, c2 = d1._cum, d2._cum
+    n1, n2 = c1.size, c2.size
+    i0 = j0 = 0
+    prev = 0.0  # the breakpoint that ends the previous block
+    top = 0.0  # the largest |x - y| so far
+    total = 0.0  # sum of length * (|x - y| / top)^k so far
+    while i0 < n1 or j0 < n2:
+        t = min(c1[i0 + _MERGE_BLOCK - 1] if n1 - i0 > _MERGE_BLOCK else math.inf,
+                c2[j0 + _MERGE_BLOCK - 1] if n2 - j0 > _MERGE_BLOCK else math.inf)
+        i1 = min(int(np.searchsorted(c1, t, side="right")), i0 + _MERGE_BLOCK)
+        if i1 > i0:
+            j1 = int(np.searchsorted(c2, t, side="left"))
+        else:
+            j1 = min(int(np.searchsorted(c2, t, side="right")), j0 + _MERGE_BLOCK)
+        cum = np.concatenate((c1[i0:i1], c2[j0:j1]))
+        order = np.argsort(cum, kind="stable")
+        ends = cum[order]
+        lengths = cum  # the segment lengths overwrite the concatenation
+        lengths[0] = ends[0] - prev
+        np.subtract(ends[1:], ends[:-1], out=lengths[1:])
+        prev = ends[-1]
+        from_d1 = order < i1 - i0
+        count = order  # d1's breakpoints strictly before each merged one
+        np.cumsum(from_d1, out=count)
+        count -= from_d1
+        count += i0
+        gap = np.take(d1.values, count, mode="clip", out=ends)
+        # now d2's: a merged breakpoint's position less d1's count
+        np.subtract(np.arange(i0 + j0, i1 + j1), count, out=count)
+        gap -= np.take(d2.values, count, mode="clip")
+        np.abs(gap, out=gap)
+        i0, j0 = i1, j1
+        peak = float(gap.max())
+        if peak > top:
+            if peak == math.inf:
+                return peak  # a gap beyond the float range
+            total *= (top / peak) ** k
+            top = peak
+        if top == 0.0:
+            continue  # equal quantile functions so far
+        gap /= top
+        np.power(gap, k, out=gap)
+        gap *= lengths
+        total += float(gap.sum())
+    return top * total ** (1.0 / k)
 
 
 def icx_leq(

@@ -1,6 +1,7 @@
 """Finite-support distribution container and its exact tail functionals."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from lambdarisk import (
     point_mass,
     wasserstein_distance,
 )
+from lambdarisk.distributions import _MERGE_BLOCK as B
 
 U4 = make_distribution([1.0, 2.0, 3.0, 4.0])
 
@@ -201,6 +203,93 @@ def test_wasserstein_does_not_overflow_near_the_float_limit():
     assert wasserstein_distance(a, a, 2.0) == 0.0
     with np.errstate(over="ignore"):  # the distance itself exceeds the float range
         assert wasserstein_distance(point_mass(-1e308), point_mass(1e308), 1.0) == math.inf
+
+
+@pytest.mark.parametrize("k", [math.inf, math.nan, 0.5])
+def test_wasserstein_rejects_orders_outside_one_to_infinity(k):
+    a, b = make_distribution([0.0, 1.0, 2.0]), make_distribution([0.0, 1.5, 2.5])
+    with pytest.raises(PreconditionError):
+        wasserstein_distance(a, b, k)
+
+
+def global_merge_wasserstein(d1, d2, k):
+    # the merge done whole: one stable argsort of both runs of cumulative
+    # masses, ~4 arrays of n1 + n2 entries, one scaling by the global maximum
+    cum = np.concatenate((d1._cum, d2._cum))
+    order = np.argsort(cum, kind="stable")
+    ends = cum[order]
+    lengths = cum
+    lengths[0] = ends[0]
+    np.subtract(ends[1:], ends[:-1], out=lengths[1:])
+    from_d1 = order < d1.support_size
+    count = order
+    np.cumsum(from_d1, out=count)
+    count -= from_d1
+    gap = np.take(d1.values, count, mode="clip", out=ends)
+    np.subtract(np.arange(count.size), count, out=count)
+    gap -= np.take(d2.values, count, mode="clip")
+    np.abs(gap, out=gap)
+    top = float(gap.max())
+    if top == 0.0 or top == math.inf:
+        return top
+    gap /= top
+    np.power(gap, k, out=gap)
+    gap *= lengths
+    return top * float(gap.sum()) ** (1.0 / k)
+
+
+def _blocked_merge_cases():
+    rng = np.random.default_rng(11)
+    for n1, n2 in [(B - 1, B - 1), (B, B), (B - 1, B), (B + 1, B + 1), (3 * B + 5, 3 * B + 5),
+                   (B + 1, 3 * B + 5), (1, 3 * B), (3 * B, 1)]:
+        yield _random_law(rng, n1), _random_law(rng, n2)
+    # equal-size uniform laws: every breakpoint ties, block cuts included
+    for n in (B, 3 * B + 5):
+        yield _random_law(rng, n, True), _random_law(rng, n, True)
+    # a run of more than B tied cumulative masses: the 1e-20 atoms add nothing to the sums
+    ties = make_distribution(np.arange(40_001.0), [1.0] + [1e-20] * 40_000)
+    assert np.count_nonzero(ties._cum == ties._cum[0]) > B
+    yield ties, make_distribution(np.arange(10.0))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-300, 1e200])
+def test_blocked_merge_matches_the_global_merge(scale):
+    for a, b in _blocked_merge_cases():
+        a, b = a.scale(scale), b.scale(scale)
+        one_block = max(a.support_size, b.support_size) <= B
+        for k in (1.0, 1.5, 2.0, 3.0, 7.0):
+            for x, y in ((a, b), (b, a)):
+                want = global_merge_wasserstein(x, y, k)
+                assert 0.0 < want < math.inf
+                if one_block:
+                    assert wasserstein_distance(x, y, k) == want
+                else:
+                    assert wasserstein_distance(x, y, k) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_wasserstein_scratch_memory_is_bounded_by_the_block():
+    rng = np.random.default_rng(13)
+
+    def scratch_peak(n):
+        a, b = _random_law(rng, n), _random_law(rng, n, True)
+        tracemalloc.start()
+        try:
+            wasserstein_distance(a, b, 2.0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = scratch_peak(100_000), scratch_peak(1_000_000)
+    assert large <= 8e6  # bytes; the global merge needs 66e6 at 1e6 atoms
+    assert large <= 2 * small
+
+
+def test_repr_is_bounded_at_any_support_size():
+    assert repr(U4) == "DiscreteDistribution({1: 0.25, 2: 0.25, 3: 0.25, 4: 0.25})"
+    text = repr(make_distribution(np.arange(1_000_000.0)))
+    assert len(text) < 1_000
+    assert "1000000 atoms" in text
+    assert ", 4: 1e-06, ..., 999995: 1e-06, " in text
 
 
 def test_expected_shortfall_tail_sum_matches_full_partition():
