@@ -43,7 +43,8 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # knife-edge slack on masses: a level against a partial sum, c^p * P_top against 1
 _SLACK = 1e-12
 # the solvers' fixed precision: golden section stops at _REL_TOL * (1 + spread),
-# an interval's ITP at _REL_TOL of its bracket; every loop stops at _MAX_ITER steps
+# an interval's ITP at _REL_TOL of its bracket; every loop stops at _MAX_ITER steps;
+# a minimizer too far out to resolve is -inf, never a point within an absolute slack
 _REL_TOL = 1e-10
 _MAX_ITER = 200
 
@@ -56,7 +57,7 @@ def conjugate_order(p: float) -> float:
 
 @dataclass(frozen=True)
 class EvarSolution:
-    """Value plus the closed minimizer interval [t_lo, t_hi] (endpoints may be -inf).
+    """Value plus the minimizer interval [t_lo, t_hi]; t_hi == -inf: none was resolved.
 
     iterations counts the value's golden-section steps plus the interval's
     slope probes and ITP steps; achieved_tol is the golden-section bracket.
@@ -121,9 +122,9 @@ def evar(dist: DiscreteDistribution, p: float, alpha: float) -> EvarSolution:
     only, not on the value: the quantile interval at p = 1,
     `_minimizer_interval` at p > 1. At alpha = 0 with p > 1, or a level so
     small that c = (1-alpha)^{-1/p} rounds to 1 or lies a few ulps above it,
-    the infimum (about the mean) is approached only as t -> -inf, so
-    t_lo = -inf and t_hi is where the objective rises past the mean by the
-    fixed slack 1e-9 * (1 + |mean|) (`_upper_threshold`).
+    the infimum (about the mean) is approached only as t -> -inf, farther out
+    than float64 resolves, so no minimizer is reported: t_lo = t_hi = -inf.
+    t_hi == -inf means exactly this, at every p and scale.
     """
     p = _check_order(p)
     _check_closed_level(alpha)
@@ -141,10 +142,7 @@ def _evar_interval(dist: DiscreteDistribution, p: float, alpha: float) -> tuple[
         return (*_quantile_interval(dist, alpha), 0)
     c = (1.0 / (1.0 - alpha)) ** (1.0 / p)
     found = None if c == 1.0 else _minimizer_interval(dist, p, alpha, c)
-    if found is None:
-        t_hi, steps = _upper_threshold(dist, p, c)
-        found = (-_INF, t_hi, steps)
-    return found
+    return (-_INF, -_INF, 0) if found is None else found
 
 
 def _evar_core(dist: DiscreteDistribution, p: float, alpha: float) -> tuple[float, int, float]:
@@ -285,47 +283,6 @@ def _minimizer_interval(
         tau_lo, tau_hi, steps = _itp(lambda tau: slope(tau, hi), a, b, f_lo, f_hi, tol)
         probes += steps
     return top + spread * tau_lo, top + spread * tau_hi, probes
-
-
-def _upper_threshold(dist: DiscreteDistribution, p: float, c: float) -> tuple[float, int]:
-    """sup{t : objective(t) <= mean + s}, s = 1e-9 * (1 + |mean|), and the work it took.
-
-    Used where c is 1 or within a few ulps of it, so the objective comes
-    within s of the mean only far below essinf, where one ulp of t exceeds s
-    and t + c ||X - t||_p - mean cancels. More than a spread below essinf the
-    excess over the mean is evaluated without cancellation instead: with
-    d = mean - t and u = (X - mean) / d in (-1/2, 1), it is
-    d * expm1(log1p(E[expm1(p log1p(u))]) / p) + (c - 1) ||X - t||_p.
-    The objective is t above esssup. Doubling steps under essinf find a
-    start and one ITP solve up to esssup ends at _REL_TOL of the spread,
-    returning the final bracket's left end (objective still <= mean + s).
-    """
-    top, bottom, mean = dist.esssup, dist.essinf, dist.mean
-    slack = 1e-9 * (1.0 + abs(mean))
-    thr = mean + slack
-    if thr >= top:
-        return thr, 0
-    spread = top - bottom
-
-    def g(t: float) -> float:
-        if not t < bottom - spread:
-            return _objective_value(dist, p, c, t) - thr
-        d = mean - t
-        u = (dist.values - mean) / d
-        excess = d * math.expm1(math.log1p(float(dist.probs @ np.expm1(p * np.log1p(u)))) / p)
-        return excess + (c - 1.0) * (d + excess) - slack
-
-    a, step, doublings = bottom, spread, 0
-    ga = g(a)
-    while ga > 0.0 and doublings < 60:
-        a -= step
-        step *= 2.0
-        doublings += 1
-        ga = g(a)
-    if ga > 0.0:
-        return a, doublings  # the objective never came under thr this far out
-    t_hi, _, steps = _itp(g, a, top, ga, top - thr, _REL_TOL * spread or math.ulp(spread))
-    return t_hi, doublings + steps
 
 
 def _itp(

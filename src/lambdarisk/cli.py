@@ -261,7 +261,7 @@ def _cmd_evar(args) -> int:
         sol.value,
         sol.value,
         [sol.t_lo, sol.t_hi],
-        math.isfinite(sol.t_lo),  # inner minimum attained iff the interval is closed
+        sol.t_hi > -math.inf,  # inner minimum attained iff a minimizer was resolved
         sol.iterations,
         sol.achieved_tol,
         inputs,

@@ -298,8 +298,13 @@ def extended_ru(dist: DiscreteDistribution, p: float, level_fn: LambdaFunction) 
     result, cross = _lift(dist, evar_family(dist, p), level_fn)
     x_star, t_lo, t_hi = result.x_star, result.t_lo, result.t_hi
     level = level_fn.eval(x_star)
-    t_ref = t_hi if not math.isfinite(t_lo) else 0.5 * (t_lo + t_hi)
-    inner = dist.esssup if level == 1.0 else evar_objective(dist, p, level, t_ref)
+    if level == 1.0:
+        inner = dist.esssup
+    elif t_hi == -_INF:  # none resolved: t + c||(X-t)_+||_p >= E[X] (Jensen), = as c -> 1
+        inner = dist.mean
+    else:
+        t_ref = t_hi if t_lo == -_INF else 0.5 * (t_lo + t_hi)
+        inner = evar_objective(dist, p, level, t_ref)
     residual = abs(max(inner, x_star) - x_star)
     # provable slack: the curve C decreases, C(L(lo-)) >= lo and C(L(hi+)) <= hi
     # on the final bracket [lo, hi], so inner - x* <= C(L(lo-)) - C(L(hi+)) + width/2

@@ -231,8 +231,8 @@ def test_minimizer_at_a_tiny_level_is_one_point():
 def test_level_where_c_rounds_to_one_takes_the_level_zero_route(p, alpha):
     assert (1.0 / (1.0 - alpha)) ** (1.0 / p) <= 1.0 + 2.0**-52
     sol = evar(D3, p, alpha)
-    assert sol.t_lo == -math.inf
-    assert math.isfinite(sol.t_hi) and sol.t_hi <= D3.esssup
+    # no minimizer is resolved; at p = 1.5, 1e-16 one used to be reported at -2.3e18
+    assert (sol.t_lo, sol.t_hi) == (-math.inf, -math.inf)
     assert sol.iterations < 400
 
 
@@ -304,18 +304,26 @@ def test_bad_orders_are_rejected(p):
             call()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("s", [1e-300, 1e-12, 1.0, 1e12, 1e200])
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 @pytest.mark.parametrize("probs", [None, [0.3, 0.3, 0.4]])
-def test_level_zero_t_hi_is_where_the_objective_passes_the_slack(p, probs):
-    # at alpha = 0 the objective is mean + (p-1) var / (2 d) + O(d^-2) at
-    # d = mean - t -> inf, so t_hi sits where that excess reaches the fixed
-    # slack s; one ulp of t there is larger than s, so a plainly evaluated
-    # objective would place t_hi by rounding
-    d = make_distribution([0.0, 1.0, 2.0], probs)
-    s = 1e-9 * (1.0 + abs(d.mean))
+def test_level_zero_reports_no_minimizer_at_any_scale(probs, p, s):
+    # the infimum, the mean, is approached only as t -> -inf; a t_hi read off
+    # an absolute slack used to land above esssup at 1e-12 and overflow at 1e200
+    d = make_distribution([0.0, 1.0, 2.0], probs).scale(s)
     sol = evar(d, p, 0.0)
-    assert sol.value == d.mean and sol.t_lo == -math.inf
-    assert sol.t_hi == pytest.approx(d.mean - (p - 1.0) * d.variance / (2.0 * s), rel=1e-6)
+    assert sol.value == d.mean
+    assert (sol.t_lo, sol.t_hi) == (-math.inf, -math.inf)
+    assert sol.iterations == 0
+
+
+def test_tiny_level_at_order_two_keeps_its_closed_form_minimizer():
+    # c > 1 however little: the p = 2 closed form resolves a finite point
+    alpha = 1e-15
+    sol = evar(D3, 2.0, alpha)
+    want = D3.mean - math.sqrt(D3.variance * (1.0 - alpha) / alpha)
+    assert sol.t_lo == sol.t_hi == pytest.approx(want, rel=1e-12)
 
 
 # ---------------------------------------------------------------- Renyi entropy

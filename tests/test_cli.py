@@ -172,8 +172,16 @@ def test_evar_command(capsys, u4):
 def test_evar_level_zero_serializes_infinite_interval(capsys, u4):
     rep = run_json(capsys, ["evar", "--p", "2", "--alpha", "0", u4])
     assert rep["value"] == 2.5
-    assert rep["t_interval"][0] == "-inf"
+    assert rep["t_interval"] == ["-inf", "-inf"]  # no minimizer resolved
     assert rep["attained"] is False
+
+
+def test_evar_level_zero_order_one_attains_its_minimum(capsys, u4):
+    # the p = 1 objective equals the mean on all of (-inf, essinf]
+    rep = run_json(capsys, ["evar", "--p", "1", "--alpha", "0", u4])
+    assert rep["value"] == 2.5
+    assert rep["t_interval"] == ["-inf", 1.0]
+    assert rep["attained"] is True
 
 
 def test_lambda_es_command(capsys, u4, step36):

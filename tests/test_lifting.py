@@ -222,6 +222,24 @@ def test_extended_ru_constant_is_plain_evar():
     assert res.t_lo <= res.t_hi
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("s", [1e-300, 1e-12, 1.0, 1e12, 1e200])
+def test_extended_ru_at_a_level_zero_crossing_is_the_mean(s, p):
+    # the residual is checked against the mean where no inner minimizer is
+    # resolved; a t_hi read off an absolute slack overflowed at 1e200
+    d = make_distribution([0.0, 1.0, 2.0]).scale(s)
+    levels = [Constant(0.0)]
+    if s <= 1e12:  # EVaR at the step's upper level overflows at 1e200
+        levels.append(Step([-100.0 * s], [0.5, 0.0], "right"))
+    for L in levels:
+        res = extended_ru(d, p, L)
+        assert abs(res.value - s) <= 1e-15 * s  # the mean, s * 1
+        if p == 1.0:
+            assert (res.t_lo, res.t_hi) == (-math.inf, d.essinf)
+        else:
+            assert (res.t_lo, res.t_hi) == (-math.inf, -math.inf)
+
+
 def test_extended_ru_inner_minimizer_solves_the_level():
     res = extended_ru(U4, 2.0, STEP36)
     level = STEP36.eval(res.x_star)
