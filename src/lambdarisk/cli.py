@@ -34,8 +34,8 @@ from .classical import evar, evar_value
 from .distributions import DiscreteDistribution, MomentSet, make_distribution
 from .errors import PreconditionError
 from .levels import LambdaFunction, from_spec
-from .lifting import es_family, evar_family, extended_ru, lambda_lift, var_family
-from .robust import worst_case_mean_variance, worst_case_wasserstein
+from .lifting import LambdaRiskResult, es_family, evar_family, extended_ru, lambda_lift, var_family
+from .robust import RobustResult, worst_case_mean_variance, worst_case_wasserstein
 from .verify import CampaignConfig, run_campaign
 
 __all__ = ["entry", "main", "parse_lambda_spec", "parse_scenarios"]
@@ -196,27 +196,23 @@ def _digest(inputs: dict, dist: DiscreteDistribution | None) -> str:
 def _report(
     measure: str,
     p: float | None,
-    value: float,
-    x_star: float,
-    t_interval: list[float] | None,
-    attained: bool | None,
-    iterations: int | None,
-    achieved_tol: float | None,
+    result: LambdaRiskResult,
     inputs: dict,
     dist: DiscreteDistribution | None,
-    **extra,
 ) -> dict:
     report = {
         "measure": measure,
         "p": p,
-        "value": value,
-        "x_star": x_star,
-        "t_interval": t_interval,
-        "attained": attained,
-        "iterations": iterations,
-        "achieved_tol": achieved_tol,
+        "value": result.value,
+        "x_star": result.x_star,
+        "t_interval": None if result.t_lo is None else [result.t_lo, result.t_hi],
+        "attained": result.attained,
+        "iterations": result.iterations,
+        "achieved_tol": result.achieved_tol,
     }
-    report.update(extra)
+    if isinstance(result, RobustResult):
+        report["nominal"] = result.nominal
+        report["inflation"] = result.inflation
     report["inputs"] = _digest(inputs, dist)
     return report
 
@@ -250,24 +246,17 @@ def _emit(args, report: dict) -> int:
 def _cmd_evar(args) -> int:
     dist = parse_scenarios(args.file, normalize=args.normalize)
     sol = evar(dist, args.p, args.alpha)
+    # the inner minimum is attained iff a minimizer was resolved
+    attained = sol.t_hi > -math.inf
+    res = LambdaRiskResult(
+        sol.value, sol.value, sol.t_lo, sol.t_hi, attained, sol.iterations, sol.achieved_tol
+    )
     inputs = {
         "command": "evar",
         "p": args.p,
         "alpha": args.alpha,
     }
-    report = _report(
-        "evar",
-        args.p,
-        sol.value,
-        sol.value,
-        [sol.t_lo, sol.t_hi],
-        sol.t_hi > -math.inf,  # inner minimum attained iff a minimizer was resolved
-        sol.iterations,
-        sol.achieved_tol,
-        inputs,
-        dist,
-    )
-    return _emit(args, report)
+    return _emit(args, _report("evar", args.p, res, inputs, dist))
 
 
 def _cmd_lambda(args) -> int:
@@ -286,20 +275,7 @@ def _cmd_lambda(args) -> int:
         "p": p_out,
         "lambda": level_fn.to_spec(),
     }
-    t_int = None if res.t_lo is None else [res.t_lo, res.t_hi]
-    report = _report(
-        f"lambda_{args.measure}",
-        p_out,
-        res.value,
-        res.x_star,
-        t_int,
-        res.attained,
-        res.iterations,
-        res.achieved_tol,
-        inputs,
-        dist,
-    )
-    return _emit(args, report)
+    return _emit(args, _report(f"lambda_{args.measure}", p_out, res, inputs, dist))
 
 
 def _cmd_ru(args) -> int:
@@ -311,19 +287,7 @@ def _cmd_ru(args) -> int:
         "p": args.p,
         "lambda": level_fn.to_spec(),
     }
-    report = _report(
-        "lambda_evar_ru",
-        args.p,
-        res.value,
-        res.x_star,
-        [res.t_lo, res.t_hi],
-        res.attained,
-        res.iterations,
-        res.achieved_tol,
-        inputs,
-        dist,
-    )
-    return _emit(args, report)
+    return _emit(args, _report("lambda_evar_ru", args.p, res, inputs, dist))
 
 
 def _cmd_robust_wasserstein(args) -> int:
@@ -336,22 +300,7 @@ def _cmd_robust_wasserstein(args) -> int:
         "delta": args.delta,
         "lambda": level_fn.to_spec(),
     }
-    # solver diagnostics are not part of the closed-form result: reported null
-    report = _report(
-        "robust_wasserstein",
-        args.p,
-        res.value,
-        res.x_star,
-        None,
-        None,
-        None,
-        None,
-        inputs,
-        dist,
-        nominal=res.nominal,
-        inflation=res.inflation,
-    )
-    return _emit(args, report)
+    return _emit(args, _report("robust_wasserstein", args.p, res, inputs, dist))
 
 
 def _cmd_robust_meanvar(args) -> int:
@@ -365,21 +314,7 @@ def _cmd_robust_meanvar(args) -> int:
         "std": args.std,
         "lambda": level_fn.to_spec(),
     }
-    report = _report(
-        f"robust_meanvar_{args.measure}",
-        p_out,
-        res.value,
-        res.x_star,
-        None,
-        None,
-        None,
-        None,
-        inputs,
-        None,
-        nominal=res.nominal,
-        inflation=res.inflation,
-    )
-    return _emit(args, report)
+    return _emit(args, _report(f"robust_meanvar_{args.measure}", p_out, res, inputs, None))
 
 
 def _cmd_sweep(args) -> int:
@@ -499,10 +434,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.handler(args)
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ArithmeticError as exc:
+    except (PreconditionError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -346,28 +346,18 @@ def wasserstein_distance(
     return top * total ** (1.0 / k)
 
 
-def icx_leq(
-    d1: DiscreteDistribution,
-    d2: DiscreteDistribution,
-    p: float,
-    grid: Sequence[float] | None = None,
-) -> bool:
+def icx_leq(d1: DiscreteDistribution, d2: DiscreteDistribution, p: float) -> bool:
     """Necessary grid check for the order-p increasing-convex comparison.
 
-    Compares ||(X - x)_+||_{p-1} <= ||(Y - x)_+||_{p-1} (+1e-12) on a grid
-    defaulting to the merged support plus segment midpoints; at p = 1 the
-    order-0 norm degenerates to the survival function comparison.
+    Compares ||(X - x)_+||_{p-1} <= ||(Y - x)_+||_{p-1} (+1e-12) on the
+    merged support plus segment midpoints and one point below it; at p = 1
+    the order-0 norm degenerates to the survival function comparison.
     """
     if not p >= 1.0:
         raise PreconditionError("comparison order must be >= 1")
-    if grid is None:
-        support = np.unique(np.concatenate((d1.values, d2.values)))
-        mids = 0.5 * (support[:-1] + support[1:]) if support.size > 1 else np.empty(0)
-        pts = np.concatenate((support, mids, [support[0] - 1.0]))
-    else:
-        pts = np.asarray(list(grid), dtype=float)
-        if pts.size == 0:
-            raise PreconditionError("comparison grid must be non-empty")
+    support = np.unique(np.concatenate((d1.values, d2.values)))
+    mids = 0.5 * (support[:-1] + support[1:]) if support.size > 1 else np.empty(0)
+    pts = np.concatenate((support, mids, [support[0] - 1.0]))
     r = p - 1.0
     for x in map(float, pts):
         if r == 0.0:

@@ -214,11 +214,12 @@ def solve_level_crossing(
     return _Crossing(x, x, x, probes, curve)
 
 
-def _crossing_bracket(dist: DiscreteDistribution) -> tuple[float, float]:
-    # every base curve lies in [essinf, esssup], so the crossing does too; the
-    # padded width is the scale of the crossing's stopping width
-    spread = dist.esssup - dist.essinf
-    return dist.essinf - spread, dist.esssup + spread
+def _crossing_bracket(low: float, high: float) -> tuple[float, float]:
+    # [low, high] holds the crossing (for a lift, every base curve lies in
+    # [essinf, esssup]); padded by its own width, it is the scale of the
+    # crossing's stopping width
+    pad = high - low
+    return low - pad, high + pad
 
 
 def _check_family(dist: DiscreteDistribution, family: BaseMeasureFamily) -> None:
@@ -234,7 +235,8 @@ def _lift(
 ) -> tuple[LambdaRiskResult, _Crossing]:
     """The sup-of-min lift, with the interval at its level, and the crossing record."""
     _check_family(dist, family)
-    cross = solve_level_crossing(family.level_value, level_fn, *_crossing_bracket(dist))
+    bracket = _crossing_bracket(dist.essinf, dist.esssup)
+    cross = solve_level_crossing(family.level_value, level_fn, *bracket)
     t_lo, t_hi = family.level_interval(level_fn.eval(cross.x))
     attained = level_fn.is_left_continuous
     result = LambdaRiskResult(cross.x, cross.x, t_lo, t_hi, attained, cross.iterations, cross.width)
@@ -259,7 +261,8 @@ def lambda_lift_inf(
     After an ITP solve the value is within the bracket width of the sup form.
     """
     _check_family(dist, family)
-    cross = solve_level_crossing(family.level_value, level_fn, *_crossing_bracket(dist))
+    bracket = _crossing_bracket(dist.essinf, dist.esssup)
+    cross = solve_level_crossing(family.level_value, level_fn, *bracket)
     best = _INF
     for x in {cross.lo, cross.hi}:
         for level in {level_fn.left_limit(x), level_fn.right_limit(x)}:

@@ -224,10 +224,13 @@ def test_robust_wasserstein_command(capsys, u4, step36):
     assert rep["value"] == 3.6
     assert rep["nominal"] == 3.6
     assert rep["inflation"] == 0.0
-    # closed-form result: no solver diagnostics to report
+    # the worst-case crossing's diagnostics: the crossing sits at the knot of a
+    # right-continuous step, exact after two probes of the nominal curve and two
+    # of the inflated one; the inflated curve has no inner minimizer
     assert rep["t_interval"] is None
-    assert rep["attained"] is None
-    assert rep["iterations"] is None
+    assert rep["attained"] is False
+    assert rep["iterations"] == 4
+    assert rep["achieved_tol"] == 0.0
 
 
 def test_robust_meanvar_command(capsys, tmp_path):
@@ -283,6 +286,24 @@ def test_check_command(capsys):
 def test_expect_round_trip(capsys, tmp_path, u4, step36):
     argv = ["lambda", "--measure", "es", "--p", "1", "--lambda", step36, u4]
     rep = run_json(capsys, argv)
+    stored = tmp_path / "report.json"
+    stored.write_text(json.dumps(rep))
+    code, _, _ = run(capsys, argv + ["--expect", str(stored)])
+    assert code == 0
+    rep["value"] = rep["value"] + 0.5
+    stored.write_text(json.dumps(rep))
+    code, _, err = run(capsys, argv + ["--expect", str(stored)])
+    assert code == 2
+    assert "expect" in err
+
+
+def test_expect_round_trip_robust_wasserstein(capsys, tmp_path, u4):
+    # a sloped level function: the stored achieved_tol is an ITP bracket width
+    spec = tmp_path / "pl.json"
+    spec.write_text(json.dumps({"type": "piecewise_linear", "points": [[0, 0.9], [5, 0.1]]}))
+    argv = ["robust", "wasserstein", "--p", "2", "--delta", "0.3", "--lambda", str(spec), u4]
+    rep = run_json(capsys, argv)
+    assert rep["attained"] is True and rep["achieved_tol"] > 0.0
     stored = tmp_path / "report.json"
     stored.write_text(json.dumps(rep))
     code, _, _ = run(capsys, argv + ["--expect", str(stored)])

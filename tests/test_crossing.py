@@ -318,7 +318,7 @@ def inner_solves(monkeypatch):
 def crossing_levels(L):
     """The levels, in order, at which a lift's crossing evaluates LAW's EVaR^2 curve."""
     phi, levels = counting(evar_family(LAW, 2.0).level_value)
-    solve_level_crossing(phi, L, *lifting._crossing_bracket(LAW))
+    solve_level_crossing(phi, L, *lifting._crossing_bracket(LAW.essinf, LAW.esssup))
     return levels
 
 

@@ -5,6 +5,7 @@ it sends answered correctly; it measures nothing.
 """
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +32,10 @@ def test_benchmark_runs_and_every_request_checks_out(workload):
     assert report["correct"] is True
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name} in the result line")
+
+
 def test_traced_run_reports_the_levels_layer():
     # the tracer wraps only methods defined on the classes a layer exports; a
     # level-function method moved off them would drop the layer without an error
@@ -42,8 +47,14 @@ def test_traced_run_reports_the_levels_layer():
     assert proc.returncode == 0, proc.stderr[-2000:]
     lines = proc.stdout.splitlines()
     assert len(lines) == 1, proc.stdout[-2000:]
-    report = json.loads(lines[-1])
+    report = json.loads(lines[-1], parse_constant=_reject_constant)  # strict JSON
     assert report["failed"] == 0, proc.stderr[-2000:]
+    # the tracer and the CLI probes drop a metric whose span or command is
+    # gone without an error: the run must report every declared name, and only those
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert set(report["metrics"]) == {m["name"] for m in declared}, proc.stderr[-2000:]
+    for name, metric in report["metrics"].items():
+        assert math.isfinite(metric["value"]), name
     assert report["metrics"]["levels.calls"]["value"] > 0
     assert report["metrics"]["levels.self_s"]["value"] > 0
     # from_spec alone would keep levels.calls above 0: a method must be traced too

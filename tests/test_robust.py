@@ -19,6 +19,7 @@ from lambdarisk import (
     worst_case_mean_variance,
     worst_case_wasserstein,
 )
+from lambdarisk.lifting import _crossing_bracket
 
 U4 = make_distribution([1.0, 2.0, 3.0, 4.0])
 STEP36 = Step([3.6], [0.75, 0.25], "right")
@@ -155,3 +156,63 @@ def test_inflation_is_value_minus_nominal():
     res = worst_case_wasserstein(U4, 2.0, STEP36, 0.7)
     assert res.inflation == pytest.approx(res.value - res.nominal, abs=1e-12)
     assert res.inflation >= -1e-12
+
+
+# ------------------------------------------------------- crossing diagnostics
+
+
+def test_wasserstein_delta_zero_diagnostics_are_the_nominal_lifts():
+    # at delta = 0 the inflated curve and its bracket are the nominal ones, so
+    # the worst-case crossing is the lift's crossing, bit for bit
+    rng = random.Random(29)
+    for _ in range(10):
+        d = rand_dist(rng)
+        for L in (
+            Step([rng.uniform(-3.0, 3.0)], [0.8, 0.3], rng.choice(["left", "right"])),
+            PiecewiseLinear([d.essinf, d.esssup + 1.0], [0.9, 0.1]),
+        ):
+            p = rng.choice([1.0, 2.0])
+            res = worst_case_wasserstein(d, p, L, 0.0)
+            lift = lambda_lift(d, evar_family(d, p), L)
+            assert (res.value, res.attained) == (lift.value, lift.attained)
+            assert res.achieved_tol == lift.achieved_tol
+            # the nominal crossing and the inflated one each ran in full
+            assert res.iterations == 2 * lift.iterations
+
+
+def test_meanvar_constant_level_is_one_exact_probe():
+    for alpha in (0.1, 0.5, 0.9):
+        res = worst_case_mean_variance(MomentSet(1.5, 2.0), Constant(alpha))
+        assert res.iterations == 1
+        assert res.achieved_tol == 0.0
+
+
+@pytest.mark.parametrize("continuity", ["left", "right"])
+def test_attained_is_left_continuity(continuity):
+    L = Step([1.0], [0.8, 0.2], continuity)
+    for res in (
+        worst_case_wasserstein(U4, 2.0, L, 0.4),
+        worst_case_mean_variance(MomentSet(0.0, 1.0), L),
+    ):
+        assert res.attained == L.is_left_continuous == (continuity == "left")
+        assert res.t_lo is None and res.t_hi is None
+
+
+def test_sloped_level_tolerance_is_relative_to_the_bracket():
+    rng = random.Random(31)
+    solved = 0
+    for _ in range(10):
+        d = rand_dist(rng)
+        L = PiecewiseLinear([d.essinf, d.esssup + 1.0], [0.9, 0.1])
+        p, delta = rng.choice([1.0, 2.0]), rng.uniform(0.05, 0.8)
+        top = d.esssup + delta * (1.0 - L.max_level) ** (-1.0 / p)
+        lo, hi = _crossing_bracket(d.essinf, top)
+        res = worst_case_wasserstein(d, p, L, delta)
+        assert 0.0 <= res.achieved_tol <= 1e-12 * (hi - lo)
+        m, v = rng.uniform(-2.0, 2.0), rng.uniform(0.2, 2.0)
+        top = m + v * math.sqrt(L.max_level / (1.0 - L.max_level))
+        lo, hi = _crossing_bracket(m, top)
+        res_mv = worst_case_mean_variance(MomentSet(m, v), L)
+        assert 0.0 <= res_mv.achieved_tol <= 1e-12 * (hi - lo)
+        solved += (res.achieved_tol > 0.0) + (res_mv.achieved_tol > 0.0)
+    assert solved > 0  # some crossings ran ITP on the sloped piece
