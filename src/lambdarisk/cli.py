@@ -428,6 +428,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if "--grid" in argv[:-1]:  # argparse reads a negative LO as an option
+        i = argv.index("--grid")
+        argv[i:i + 2] = [f"--grid={argv[i + 1]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors; remap to 1

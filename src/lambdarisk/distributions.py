@@ -163,18 +163,20 @@ class DiscreteDistribution:
         return self._plus_power_sum(t, p)
 
     def _plus_power_sum(self, t: float, r: float) -> float:
-        # unvalidated core shared with the objective-slope machinery (r > 0)
-        diff = self.values - t
-        pos = diff > 0.0
-        if not pos.any():
+        # unvalidated core shared with the objective-slope machinery (r > 0);
+        # reads only the atoms above t, found by one binary search, through
+        # one tail-sized temporary
+        first = int(np.searchsorted(self.values, t, side="right"))
+        if first == self.support_size:
             return 0.0
-        if r == 1.0:
-            return float(self.probs[pos] @ diff[pos])
-        return float(self.probs[pos] @ diff[pos] ** r)
+        diff = self.values[first:] - t
+        if r != 1.0:
+            diff **= r
+        return float(self.probs[first:] @ diff)
 
     def survival(self, x: float) -> float:
         """P(X > x)."""
-        return float(self.probs[self.values > x].sum())
+        return float(self.probs[np.searchsorted(self.values, x, side="right"):].sum())
 
     # -- transforms -----------------------------------------------------------
 
@@ -198,9 +200,15 @@ def make_distribution(
 
     Duplicate values (exact float equality) are merged with their masses added,
     and masses are renormalized by their sum. An ndarray is read in place and
-    never written; the build is one sort of the values.
+    never written; the build is one sort of the values. On distinct values
+    its memory peaks at the returned law plus one byte per atom: the sort
+    permutation is released before the cumulative masses are summed, equal
+    masses are not gathered, and an input array no caller holds (a temporary
+    passed straight in) is freed as soon as it has been gathered into sorted
+    order.
     """
     vals = _float_array(values)
+    del values  # so an array no caller holds is freed once gathered below
     if vals.ndim != 1:
         raise PreconditionError("atom values must be a flat sequence of numbers")
     if vals.size == 0:
@@ -220,7 +228,9 @@ def make_distribution(
         raise PreconditionError("atom probabilities must sum to a positive number")
     order = np.argsort(vals)
     vals = vals[order]
-    pr = pr[order]
+    if probs is not None:  # equal masses need no gather
+        pr = pr[order]
+    del order
     pr /= total
     starts = np.empty(vals.size, dtype=bool)
     starts[0] = True
@@ -260,10 +270,10 @@ def mix(
         return d1
     if lam == 0.0:
         return d2
-    return make_distribution(
-        np.concatenate((d1.values, d2.values)),
-        np.concatenate((lam * d1.probs, (1.0 - lam) * d2.probs)),
-    )
+    probs = np.concatenate((d1.probs, d2.probs))
+    probs[:d1.support_size] *= lam
+    probs[d1.support_size:] *= 1.0 - lam
+    return make_distribution(np.concatenate((d1.values, d2.values)), probs)
 
 
 def wasserstein_distance(
@@ -387,7 +397,7 @@ class ScenarioTable:
             raise PreconditionError("a scenario table needs at least one scenario")
         if not np.all(np.isfinite(weights)) or np.any(weights <= 0.0):
             raise PreconditionError("scenario weights must be positive and finite")
-        weights = weights / float(weights.sum())
+        weights /= float(weights.sum())
         cols = {}
         for name, col in dict(self.positions).items():
             arr = np.array(col, dtype=float, copy=True)
@@ -406,12 +416,17 @@ class ScenarioTable:
 
 def combine(table: ScenarioTable, weights: Mapping[str, float]) -> DiscreteDistribution:
     """Law of the linear combination  sum_name weights[name] * position[name]."""
+    # the sum is handed straight to the build, which frees it once sorted
+    return make_distribution(_weighted_sum(table, weights), table.weights)
+
+
+def _weighted_sum(table: ScenarioTable, weights: Mapping[str, float]) -> np.ndarray:
     total = np.zeros_like(table.weights)
     for name, w in weights.items():
         if name not in table.positions:
             raise KeyError(f"unknown scenario column {name!r}")
-        total = total + float(w) * table.positions[name]
-    return make_distribution(total, table.weights)
+        total += float(w) * table.positions[name]
+    return total
 
 
 @dataclass(frozen=True)

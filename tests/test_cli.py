@@ -272,6 +272,15 @@ def test_sweep_command(capsys, u4, step36):
         assert hi == pytest.approx(max(g, x), abs=1e-15)
 
 
+def test_sweep_grid_with_negative_lo_reads_spaced_or_joined(capsys, u4, step36):
+    head = ["sweep", "--lambda", step36, "--p", "2"]
+    code, spaced, err = run(capsys, head + ["--grid", "-4:6:3", u4])
+    assert code == 0, err
+    assert run(capsys, head + ["--grid=-4:6:3", u4]) == (0, spaced, "")
+    assert [row.split(",")[0] for row in spaced.splitlines()[1:]] == ["-4", "1", "6"]
+    assert run(capsys, head + [u4, "--grid", "-4:6:3"])[1] == spaced
+
+
 def test_check_command(capsys):
     code, out, _ = run(capsys, ["check", "--seed", "3", "--cases", "2"])
     assert code == 0

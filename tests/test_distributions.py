@@ -1,6 +1,7 @@
 """Finite-support distribution container and its exact tail functionals."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -372,3 +373,153 @@ def test_moment_set_validation():
 def test_distribution_is_immutable():
     with pytest.raises((ValueError, AttributeError)):
         U4.values[0] = 99.0
+
+
+# ------------------------------------------------ builds: memory and bit identity
+
+
+def reference_build(values, probs=None):
+    # the argsort/gather/reduceat build written out in full: both arrays
+    # gathered through the permutation, which is kept until the end
+    vals = np.asarray(values, dtype=float)
+    pr = np.full(vals.size, 1.0 / vals.size) if probs is None else np.asarray(probs, dtype=float)
+    total = float(pr.sum())
+    order = np.argsort(vals)
+    vals = vals[order]
+    pr = pr[order]
+    pr /= total
+    starts = np.empty(vals.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(vals[1:], vals[:-1], out=starts[1:])
+    if not starts.all():
+        first = np.flatnonzero(starts)
+        vals, pr = vals[first], np.add.reduceat(pr, first)
+    return vals, pr, np.cumsum(pr)
+
+
+def assert_built_as(d, want):
+    for got, exp in zip((d.values, d.probs, d._cum), want):
+        assert got.tolist() == exp.tolist()
+
+
+def _build_inputs(rng):
+    # (values, probs) pairs: distinct values, ties, equal masses, one atom
+    for n in (1, 2, 7, 1_000, 100_000):
+        yield rng.normal(0.0, 3.0, n), rng.uniform(0.1, 1.0, n)
+        yield rng.normal(0.0, 3.0, n), None
+        yield rng.integers(0, 1 + n // 4, n).astype(float), rng.uniform(0.1, 1.0, n)
+        yield rng.integers(0, 1 + n // 4, n).astype(float), None
+    yield [2.5], [0.3]
+
+
+def test_builds_match_the_reference_build_bit_for_bit():
+    rng = np.random.default_rng(17)
+    for values, probs in _build_inputs(rng):
+        d = make_distribution(values, probs)
+        assert_built_as(d, reference_build(values, probs))
+        for c in (1.5, -1e-3):
+            assert_built_as(d.shift(c), reference_build(d.values + c, d.probs))
+        for s in (-2.0, 0.1, 1e-200):
+            assert_built_as(d.scale(s), reference_build(d.values * s, d.probs))
+        e = make_distribution(np.round(d.values[::-1] * 0.5), d.probs[::-1])
+        for lam in (0.3, 0.9):
+            m = mix(d, e, lam)
+            assert_built_as(m, reference_build(np.concatenate((d.values, e.values)),
+                                               np.concatenate((lam * d.probs,
+                                                               (1.0 - lam) * e.probs))))
+
+
+def test_combine_matches_the_reference_build_bit_for_bit():
+    rng = np.random.default_rng(19)
+    for n in (1, 3, 1_000, 100_000):
+        cols = {"A": rng.normal(size=n), "B": rng.integers(-3, 4, n).astype(float),
+                "C": rng.uniform(-1.0, 1.0, n)}
+        raw = rng.uniform(0.1, 1.0, n)
+        table = ScenarioTable(raw, cols)
+        assert table.weights.tolist() == (raw / float(raw.sum())).tolist()
+        for weights in ({"A": 1.0}, {"B": 2.0, "C": -0.5}, {"A": 0.3, "B": -1.0, "C": 7.0}):
+            total = np.zeros(n)
+            for name, w in weights.items():
+                total = total + float(w) * cols[name]
+            assert_built_as(combine(table, weights), reference_build(total, table.weights))
+
+
+def reference_plus_power_sum(d, t, r):
+    diff = d.values - t
+    pos = diff > 0.0
+    if not pos.any():
+        return 0.0
+    if r == 1.0:
+        return float(d.probs[pos] @ diff[pos])
+    return float(d.probs[pos] @ diff[pos] ** r)
+
+
+def test_tail_functionals_match_the_boolean_mask_formula_bit_for_bit():
+    rng = np.random.default_rng(23)
+    laws = [make_distribution(v, p) for v, p in _build_inputs(rng)]
+    for d in laws:
+        x = d.values
+        ts = [x[0] - 1.0, x[0], x[-1], x[-1] + 1.0, x[x.size // 2], x[(2 * x.size) // 3]]
+        if x.size > 1:
+            ts += [0.5 * (x[0] + x[1]), 0.5 * (x[x.size // 3] + x[x.size // 3 + 1])]
+        for t in map(float, ts):
+            assert d.survival(t) == float(d.probs[d.values > t].sum())
+            for r in (0.5, 1.0, 1.5, 2.0, 3.0):
+                want = reference_plus_power_sum(d, t, r)
+                assert d._plus_power_sum(t, r) == want
+                if r >= 1.0:
+                    assert d.partial_moment(t, r) == want
+        for r in (0.5, 1.0, 2.0):
+            assert d._plus_power_sum(d.esssup, r) == 0.0
+            assert d._plus_power_sum(d.esssup + 1.0, r) == 0.0
+        assert d.survival(d.esssup) == 0.0
+
+
+MEM_ATOMS = 200_000
+
+# freeing an argument the caller no longer holds relies on CPython 3.11+
+# moving call arguments into the callee's frame
+needs_argument_handoff = pytest.mark.skipif(
+    sys.version_info < (3, 11), reason="call arguments stay on the caller's stack")
+
+
+def build_scratch_per_atom(build):
+    """Peak traced bytes of build() above the law it returns, per returned atom."""
+    tracemalloc.start()
+    try:
+        d = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - d.values.nbytes - d.probs.nbytes - d._cum.nbytes) / d.support_size
+
+
+def test_make_distribution_peaks_at_its_law_plus_two_bytes_per_atom():
+    rng = np.random.default_rng(29)
+    vals, probs = rng.normal(size=MEM_ATOMS), rng.uniform(0.1, 1.0, MEM_ATOMS)
+    assert build_scratch_per_atom(lambda: make_distribution(vals, probs)) <= 2.0
+    assert build_scratch_per_atom(lambda: make_distribution(vals)) <= 2.0
+
+
+@needs_argument_handoff
+def test_derived_builds_peak_at_their_law_plus_two_bytes_per_atom():
+    rng = np.random.default_rng(31)
+    n = MEM_ATOMS
+    table = ScenarioTable(rng.uniform(0.1, 1.0, n),
+                          {"A": rng.normal(size=n), "B": rng.normal(size=n)})
+    d = make_distribution(rng.normal(size=n), rng.uniform(0.1, 1.0, n))
+    assert build_scratch_per_atom(lambda: combine(table, {"A": 0.7, "B": -1.3})) <= 2.0
+    assert build_scratch_per_atom(lambda: d.shift(0.25)) <= 2.0
+    assert build_scratch_per_atom(lambda: d.scale(-3.0)) <= 2.0
+
+
+@needs_argument_handoff
+def test_mix_scratch_stays_within_the_argsort_build():
+    rng = np.random.default_rng(37)
+    x = rng.normal(size=MEM_ATOMS)
+    a = make_distribution(x, rng.uniform(0.1, 1.0, MEM_ATOMS))
+    b = make_distribution(x, rng.uniform(0.1, 1.0, MEM_ATOMS))
+    # a common support merges every atom: the build that scaled copies of
+    # the masses and kept its input to the end peaked 82 bytes per atom
+    # above the law here, one that scales them in place 50
+    assert build_scratch_per_atom(lambda: mix(a, b, 0.3)) <= 60.0
